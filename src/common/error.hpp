@@ -38,6 +38,9 @@ class AsmError : public Error {
 class SimError : public Error {
  public:
   explicit SimError(const std::string& what) : Error("sim error: " + what) {}
+  /// `fault` with `where` appended, keeping its single "sim error:" prefix.
+  SimError(const SimError& fault, const std::string& where)
+      : Error(std::string(fault.what()) + where) {}
 };
 
 /// Raised by the COPIFT toolkit on invalid transformation requests

@@ -56,21 +56,10 @@ void DebugHub::check_hart(unsigned hart) const {
   }
 }
 
-bool DebugHub::use_fast() const {
-  // Jumps are breakpoint-safe (PCs frozen while every hart provably stalls)
-  // but not watchpoint-safe: the DMA may move memory inside a jump and the
-  // stop must land on its own cycle.
-  return cluster_->topology().shared().skip_ahead && watchpoints_.empty();
-}
-
-void DebugHub::tick_checked(bool fast) {
+void DebugHub::tick_checked() {
   watch_hits_.clear();
   recording_ = !watchpoints_.empty();
-  if (fast) {
-    cluster_->step_fast();
-  } else {
-    cluster_->tick();
-  }
+  cluster_->tick();
   recording_ = false;
 }
 
@@ -150,7 +139,7 @@ Stop DebugHub::step_cycle() {
   if (cluster_->cycles() >= cluster_->topology().shared().max_cycles) {
     return {Stop::Reason::kTimeout, focus_hart_, 0, WatchKind::kAccess, 0};
   }
-  tick_checked(false);
+  tick_checked();
   collect_stops();
   if (const auto s = pop_pending()) return report(*s);
   return report({Stop::Reason::kStep, focus_hart_, pc(focus_hart_), WatchKind::kAccess, 0});
@@ -161,13 +150,12 @@ Stop DebugHub::step_instruction(unsigned hart) {
   if (const auto s = pop_pending()) return report(*s);
   const std::uint64_t max_cycles = cluster_->topology().shared().max_cycles;
   const std::uint64_t baseline = issue_count(hart);
-  const bool fast = use_fast();
   while (true) {
     if (run_complete()) return exited_stop();
     if (cluster_->cycles() >= max_cycles) {
       return {Stop::Reason::kTimeout, hart, 0, WatchKind::kAccess, 0};
     }
-    tick_checked(fast);
+    tick_checked();
     collect_stops();
     if (const auto s = pop_pending()) return report(*s);
     if (issue_count(hart) > baseline || cluster_->complex(hart).core().halted()) {
@@ -179,14 +167,13 @@ Stop DebugHub::step_instruction(unsigned hart) {
 Stop DebugHub::resume(const std::function<bool()>& interrupted) {
   if (const auto s = pop_pending()) return report(*s);
   const std::uint64_t max_cycles = cluster_->topology().shared().max_cycles;
-  const bool fast = use_fast();
   std::uint64_t ticks = 0;
   while (true) {
     if (run_complete()) return exited_stop();
     if (cluster_->cycles() >= max_cycles) {
       return {Stop::Reason::kTimeout, focus_hart_, 0, WatchKind::kAccess, 0};
     }
-    tick_checked(fast);
+    tick_checked();
     collect_stops();
     if (const auto s = pop_pending()) return report(*s);
     if (interrupted && (++ticks & 0x3FF) == 0 && interrupted()) {
@@ -202,12 +189,11 @@ Stop DebugHub::free_run() {
   pending_.clear();
   for (Ignore& ig : ignore_) ig.active = false;
   const std::uint64_t max_cycles = cluster_->topology().shared().max_cycles;
-  const bool fast = cluster_->topology().shared().skip_ahead;
   while (!run_complete()) {
     if (cluster_->cycles() >= max_cycles) {
       return {Stop::Reason::kTimeout, 0, 0, WatchKind::kAccess, 0};
     }
-    fast ? cluster_->step_fast() : cluster_->tick();
+    cluster_->tick();
   }
   return exited_stop();
 }

@@ -13,13 +13,6 @@
 // and immutable (ebreak raises a simulation error), PC match replaces the
 // usual instruction patching and needs no memory writes.
 //
-// Skip-ahead interaction: resume() keeps the event-driven clock jump active
-// when only breakpoints are armed — a jump is legal only while no hart can
-// retire, so PCs are frozen and no breakpoint can be newly hit inside the
-// jumped window. Any armed watchpoint forces per-cycle execution (the DMA is
-// allowed to move memory inside a jump, and a watch stop must land on its
-// exact cycle), trading speed for precision only while the user asks for it.
-//
 // Observation-only guarantee: a hub that is attached but idle (no client,
 // no breakpoints, no watchpoints) changes nothing — the memory watcher
 // records only inside hub-driven ticks, and every cycle-advancing path is
@@ -139,14 +132,13 @@ class DebugHub final : public mem::MemWatcher {
   [[nodiscard]] bool fpss_all_idle() const;
   [[nodiscard]] bool run_complete() const;  // halted + FPSS drained
   void check_hart(unsigned hart) const;
-  /// One cycle with watch recording; `fast` additionally allows a clock jump.
-  void tick_checked(bool fast);
+  /// One cycle with watch recording.
+  void tick_checked();
   /// Scan PCs and watch hits after a cycle, queueing fresh stops.
   void collect_stops();
   [[nodiscard]] std::optional<Stop> pop_pending();
   [[nodiscard]] Stop report(Stop stop);
   [[nodiscard]] Stop exited_stop() const;
-  [[nodiscard]] bool use_fast() const;
 
   sim::Cluster* cluster_;
   unsigned focus_hart_ = 0;

@@ -460,7 +460,7 @@ std::string GdbStub::monitor_text(const std::string& command) {
 
   if (verb == "help" || verb.empty()) {
     os << "monitor commands:\n"
-       << "  cycles           cycle count and skip-ahead statistics\n"
+       << "  cycles           cluster cycle count\n"
        << "  stalls [hart]    per-hart stall-attribution counters\n"
        << "  dma              DMA engine and DRAM state\n"
        << "  energy           energy model totals so far\n"
@@ -470,8 +470,7 @@ std::string GdbStub::monitor_text(const std::string& command) {
     return os.str();
   }
   if (verb == "cycles") {
-    os << "cycle " << cluster.cycles() << ", skip-ahead jumps " << cluster.skip_jumps()
-       << " covering " << cluster.skipped_cycles() << " cycles\n";
+    os << "cycle " << cluster.cycles() << "\n";
     return os.str();
   }
   if (verb == "stalls") {

@@ -247,9 +247,8 @@ constexpr std::array<InstrInfo, kNumMnemonics> build_table() {
   set(Mnemonic::kDmstat, mk("dmstat", Format::kRdOnly, ExecUnit::kDma, FpuClass::kNone, I, N, N, N,
                             f3(op(kCustom2), 0b111)));
   // dmwait blocks the issue slot until the DMA queue drains — the hardware
-  // equivalent of the dmstat/bnez poll loop, but with a provable wake time
-  // the skip-ahead clock can jump over (funct3=000 is the one free slot in
-  // the custom-2 Xssr/Xdma space).
+  // equivalent of the dmstat/bnez poll loop without spending issue slots on
+  // polling (funct3=000 is the one free slot in the custom-2 Xssr/Xdma space).
   set(Mnemonic::kDmwait, mk("dmwait", Format::kFixed, ExecUnit::kDma, FpuClass::kNone, N, N, N, N,
                             whole(kCustom2)));
   // ---- Xcopift: copies of the "D" encodings in custom-1, all-FP operands.

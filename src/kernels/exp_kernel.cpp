@@ -349,7 +349,7 @@ std::string generate_copift(const KernelConfig& cfg) {
   workload::TiledBuffer tiled = make_exp_tiled(cfg);
   // Blocks per pipelined run: one tile's per-hart chunk, or the whole chunk.
   const std::uint32_t nb = (tiled.enabled() ? tiled.chunk() : slice.chunk()) / block;
-  if (nb < 2) throw Error(cat("exp/copift: n=", cfg.n, " with block=", block, " needs at least 2 blocks per hart"));
+  if (nb < kExpMinBlocks) throw Error(cat("exp/copift: n=", cfg.n, " with block=", block, " needs at least ", kExpMinBlocks, " blocks per hart"));
 
   AsmBuilder b;
   emit_exp_data(b, cfg, /*copift=*/true, tiled);

@@ -249,7 +249,7 @@ std::string generate_copift(const KernelConfig& cfg) {
   if (cfg.n % block != 0) throw Error(cat("log/copift: block=", block, " does not divide n=", cfg.n));
   const HartSlice slice(cfg);
   const std::uint32_t nb = slice.chunk() / block;  // blocks per hart
-  if (nb < 2) throw Error(cat("log/copift: n=", cfg.n, " with block=", block, " needs at least 2 blocks per hart"));
+  if (nb < kLogMinBlocks) throw Error(cat("log/copift: n=", cfg.n, " with block=", block, " needs at least ", kLogMinBlocks, " blocks per hart"));
   const LogConstants cst = log_constants();
 
   AsmBuilder b;

@@ -446,7 +446,7 @@ std::string mc_copift(const KernelConfig& cfg, bool poly, bool xoshiro) {
   if (cfg.n % block != 0) throw Error(cat("mc/copift: block=", block, " does not divide n=", cfg.n));
   const HartSlice slice(cfg);
   const std::uint32_t nb = slice.chunk() / block;  // blocks per hart
-  if (nb < 2) throw Error(cat("mc/copift: n=", cfg.n, " with block=", block, " needs at least 2 blocks per hart"));
+  if (nb < kMcMinBlocks) throw Error(cat("mc/copift: n=", cfg.n, " with block=", block, " needs at least ", kMcMinBlocks, " blocks per hart"));
 
   AsmBuilder b;
   emit_mc_data(b, cfg, poly, /*copift=*/true, xoshiro);

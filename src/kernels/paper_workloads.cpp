@@ -26,9 +26,10 @@ using workload::WorkloadConfig;
 
 /// Shared validation of the paper kernels' blocked-loop structure: the
 /// baseline needs n to be a multiple of the unroll factor; COPIFT tiles n
-/// into at least two blocks whose size is a multiple of the unroll factor.
+/// into at least `min_blocks` blocks whose size is a multiple of the unroll
+/// factor.
 void validate_blocked(const std::string& name, Variant variant, const WorkloadConfig& cfg,
-                      std::uint32_t unroll) {
+                      std::uint32_t unroll, std::uint32_t min_blocks) {
   const auto fail = [&](const std::string& what) { throw ConfigError(name, variant, what); };
   if (variant == Variant::kBaseline) {
     if (cfg.n % unroll != 0) {
@@ -44,16 +45,17 @@ void validate_blocked(const std::string& name, Variant variant, const WorkloadCo
   if (cfg.n % cfg.block != 0) {
     fail("block=" + std::to_string(cfg.block) + " does not divide n=" + std::to_string(cfg.n));
   }
-  if (cfg.n / cfg.block < 2) {
+  if (cfg.n / cfg.block < min_blocks) {
     fail("n=" + std::to_string(cfg.n) + " with block=" + std::to_string(cfg.block) +
-         " yields fewer than 2 blocks (the software pipeline needs a prologue block)");
+         " yields fewer than " + std::to_string(min_blocks) +
+         " blocks (the depth of the software pipeline)");
   }
 }
 
 /// Multi-hart partitioning checks: each hart's contiguous chunk must obey
 /// the same blocked-loop structure the single-core variant needs.
 void validate_harts(const std::string& name, Variant variant, const WorkloadConfig& cfg,
-                    std::uint32_t unroll) {
+                    std::uint32_t unroll, std::uint32_t min_blocks) {
   if (cfg.cores <= 1) return;
   workload::HartSlice::validate(name, variant, cfg, unroll, "the unroll factor");
   if (variant != Variant::kCopift) return;
@@ -64,11 +66,10 @@ void validate_harts(const std::string& name, Variant variant, const WorkloadConf
          std::to_string(chunk) + " (n=" + std::to_string(cfg.n) + " / cores=" +
          std::to_string(cfg.cores) + ")");
   }
-  if (chunk / cfg.block < 2) {
+  if (chunk / cfg.block < min_blocks) {
     fail("per-hart chunk " + std::to_string(chunk) + " with block=" +
-         std::to_string(cfg.block) +
-         " yields fewer than 2 blocks per hart (the software pipeline needs a prologue "
-         "block)");
+         std::to_string(cfg.block) + " yields fewer than " + std::to_string(min_blocks) +
+         " blocks per hart (the depth of the software pipeline)");
   }
 }
 
@@ -90,19 +91,21 @@ class PaperWorkload : public workload::Workload {
 
   void validate(Variant variant, const WorkloadConfig& config) const override {
     Workload::validate(variant, config);
-    validate_blocked(name(), variant, config, unroll());
+    validate_blocked(name(), variant, config, unroll(), min_blocks());
     if (config.tile != 0) {
       // Tiled runs stream DRAM-resident data; the per-hart-per-tile chunk
       // takes over the structural role of the per-hart chunk.
       validate_tiled(variant, config);
       return;
     }
-    validate_harts(name(), variant, config, unroll());
+    validate_harts(name(), variant, config, unroll(), min_blocks());
   }
 
  protected:
   /// Elements (exp/log) or samples (MC) per unrolled loop iteration.
   [[nodiscard]] virtual std::uint32_t unroll() const = 0;
+  /// Fewest COPIFT blocks per hart (kernel_internal.hpp's k*MinBlocks).
+  [[nodiscard]] virtual std::uint32_t min_blocks() const = 0;
 
   /// Tiled-structure checks; only reachable for workloads whose
   /// tiled_capable() returns true (Workload::validate rejects the rest).
@@ -142,16 +145,15 @@ class ExpWorkload final : public PaperWorkload {
 
  protected:
   [[nodiscard]] std::uint32_t unroll() const override { return 4; }
+  [[nodiscard]] std::uint32_t min_blocks() const override { return kExpMinBlocks; }
 
   void validate_tiled(Variant variant, const WorkloadConfig& cfg) const override {
     // x + y are 16 bytes per element; exp_tab + exp_const + per-hart rows
     // stay TCDM-resident alongside the double buffers.
     if (variant == Variant::kCopift) {
       const std::uint32_t arena = 3 * 3 * cfg.block * 8 * cfg.cores;
-      // The steady-state do-while needs prologue, steady and epilogue
-      // blocks, i.e. at least 3 blocks per hart per tile.
       workload::TiledBuffer::validate(name(), variant, cfg, cfg.block, "the block size",
-                                      3, 16, arena + 4096);
+                                      kExpMinBlocks, 16, arena + 4096);
     } else {
       const std::uint32_t spill = 2 * 4 * 8 * cfg.cores;
       workload::TiledBuffer::validate(name(), variant, cfg, 4, "the unroll factor",
@@ -189,6 +191,7 @@ class LogWorkload final : public PaperWorkload {
 
  protected:
   [[nodiscard]] std::uint32_t unroll() const override { return 4; }
+  [[nodiscard]] std::uint32_t min_blocks() const override { return kLogMinBlocks; }
 };
 
 // --- Monte Carlo family -----------------------------------------------------
@@ -230,6 +233,7 @@ class McWorkload final : public PaperWorkload {
 
  protected:
   [[nodiscard]] std::uint32_t unroll() const override { return kMcUnroll; }
+  [[nodiscard]] std::uint32_t min_blocks() const override { return kMcMinBlocks; }
 
  private:
   [[nodiscard]] std::uint64_t expected_hits(Variant variant,

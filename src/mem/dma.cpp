@@ -70,34 +70,4 @@ void DmaEngine::tick() {
   if (t.progress >= t.bytes) queue_.pop_front();
 }
 
-std::uint64_t DmaEngine::drain_cycles_lower_bound() const noexcept {
-  std::uint64_t cycles = 0;
-  for (const Transfer& t : queue_) {
-    const std::uint32_t remaining = t.bytes - t.progress;
-    cycles += (static_cast<std::uint64_t>(remaining) + bytes_per_cycle_ - 1) /
-              bytes_per_cycle_;
-  }
-  return cycles;
-}
-
-std::uint64_t DmaEngine::dram_drain_cycles_lower_bound() const noexcept {
-  // Find the last DRAM-touching transfer; the drain bound through it is the
-  // window during which dram_pending() provably stays > 0.
-  std::size_t last = queue_.size();
-  for (std::size_t i = queue_.size(); i-- > 0;) {
-    if (queue_[i].touches_dram) {
-      last = i;
-      break;
-    }
-  }
-  if (last == queue_.size()) return 0;
-  std::uint64_t cycles = 0;
-  for (std::size_t i = 0; i <= last; ++i) {
-    const std::uint32_t remaining = queue_[i].bytes - queue_[i].progress;
-    cycles += (static_cast<std::uint64_t>(remaining) + bytes_per_cycle_ - 1) /
-              bytes_per_cycle_;
-  }
-  return cycles;
-}
-
 }  // namespace copift::mem

@@ -10,9 +10,8 @@
 // as row-buffer bursts: each `burst_bytes` slice pays the open-row hit or
 // miss latency up front (no bytes move), then streams at
 // min(bytes_per_cycle, dram bandwidth). All burst state is kept as relative
-// countdowns inside the front Transfer, so advance(n) == n tick()s exactly
-// and skip-ahead stays chunk-exact. Transfers entirely inside TCDM keep the
-// flat path bit-for-bit, DramModel attached or not.
+// countdowns inside the front Transfer. Transfers entirely inside TCDM keep
+// the flat path bit-for-bit, DramModel attached or not.
 #pragma once
 
 #include <cstdint>
@@ -56,24 +55,6 @@ class DmaEngine {
   /// Advance one cycle.
   void tick();
 
-  /// Advance `n` cycles at once (skip-ahead). Chunk boundaries and stats are
-  /// identical to `n` tick() calls; idle cycles are free either way.
-  void advance(std::uint64_t n) {
-    while (n-- > 0 && !queue_.empty()) tick();
-  }
-
-  /// Lower bound on the busy cycles left until the queue drains, for the
-  /// skip-ahead probe. Exact on the flat path (sum of per-chunk cycles);
-  /// with DRAM attached the real drain only grows (row latencies, narrower
-  /// bandwidth), so sleeping this many cycles never overshoots the wake.
-  [[nodiscard]] std::uint64_t drain_cycles_lower_bound() const noexcept;
-
-  /// Same bound, summed only through the *last* DRAM-touching transfer in
-  /// the queue: for at least this many busy cycles dram_pending() stays
-  /// nonzero, so a dmwait sleep attributed to the DRAM cause is safe for
-  /// this window. 0 when nothing pending touches DRAM.
-  [[nodiscard]] std::uint64_t dram_drain_cycles_lower_bound() const noexcept;
-
   [[nodiscard]] std::uint64_t busy_cycles() const noexcept { return busy_cycles_; }
   [[nodiscard]] std::uint64_t bytes_moved() const noexcept { return bytes_moved_; }
   void reset_stats() noexcept { busy_cycles_ = 0; bytes_moved_ = 0; }
@@ -84,8 +65,7 @@ class DmaEngine {
     std::uint32_t dst;
     std::uint32_t bytes;
     std::uint32_t progress = 0;
-    // DRAM burst state, all relative countdowns (no absolute clock: this is
-    // what keeps advance(n) == n ticks under skip-ahead).
+    // DRAM burst state, all relative countdowns (no absolute clock).
     bool touches_dram = false;
     bool burst_open = false;
     unsigned latency_left = 0;   // row hit/miss cycles before bytes flow

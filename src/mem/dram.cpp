@@ -1,13 +1,9 @@
 #include "mem/dram.hpp"
 
-#include <algorithm>
-
 namespace copift::mem {
 
 DramModel::DramModel(const DramTiming& timing)
-    : timing_(timing),
-      open_row_(timing.channels, kNoRow),
-      busy_until_(timing.channels, 0) {}
+    : timing_(timing), open_row_(timing.channels, kNoRow) {}
 
 unsigned DramModel::touch_row(std::uint32_t addr) {
   const unsigned c = channel_of(addr);
@@ -20,31 +16,6 @@ unsigned DramModel::touch_row(std::uint32_t addr) {
   }
   ++row_misses_;
   return timing_.t_row_miss;
-}
-
-DramModel::Access DramModel::access(std::uint64_t now, std::uint32_t addr,
-                                    std::uint32_t bytes) {
-  // A full in-flight window pushes the issue out to the earliest completion.
-  std::uint64_t slot_free = 0;
-  if (inflight_done_.size() >= timing_.max_inflight) {
-    slot_free = inflight_done_.top();
-    inflight_done_.pop();
-  }
-  const unsigned c = channel_of(addr);
-  Access a;
-  a.start = std::max({now, busy_until_[c], slot_free});
-  const std::uint64_t row = row_of(addr);
-  a.row_hit = open_row_[c] == row;
-  open_row_[c] = row;
-  if (a.row_hit) ++row_hits_; else ++row_misses_;
-  const unsigned row_latency = a.row_hit ? timing_.t_row_hit : timing_.t_row_miss;
-  const std::uint64_t beats =
-      (static_cast<std::uint64_t>(bytes) + timing_.bytes_per_cycle - 1) /
-      timing_.bytes_per_cycle;
-  a.done = a.start + row_latency + beats;
-  busy_until_[c] = a.done;
-  inflight_done_.push(a.done);
-  return a;
 }
 
 }  // namespace copift::mem

@@ -1,28 +1,18 @@
 // Main-memory (DRAM) timing model behind the cluster DMA engine.
 //
 // The functional store already lives in AddressSpace (the lazily grown
-// region above kDramBase); this model adds *timing*: an open-row buffer per
-// channel (row hits are cheap, row misses pay activate+precharge), a
-// bandwidth cap in bytes per cycle, per-channel busy tracking, and a bound
-// on outstanding requests. Channels interleave at row granularity, the same
-// scheme DRAMSim-style models use for cluster-level traffic.
+// region above kDramBase); this model adds the row-buffer *timing*: an open
+// row per channel (row hits are cheap, row misses pay activate+precharge),
+// with channels interleaved at row granularity, the same scheme
+// DRAMSim-style models use for cluster-level traffic.
 //
-// Two APIs on one state machine:
-//
-//  * touch_row(addr) — the low-level hook the DmaEngine uses once per burst:
-//    update the channel's open row and return the access latency in cycles
-//    (hit or miss). The engine owns the bandwidth/burst sequencing itself so
-//    its per-cycle byte flow stays chunk-exact under skip-ahead.
-//
-//  * access(now, addr, bytes) — the closed-form request model: returns the
-//    issue and completion cycle of a whole burst, honoring per-channel
-//    busy_until serialization and the max_inflight outstanding-request
-//    bound. This is the "optimized" model the randomized differential test
-//    (tests/test_dram.cpp) checks against a naive cycle-by-cycle reference.
+// The DmaEngine calls touch_row(addr) once per burst: it updates the
+// channel's open row and returns the access latency in cycles (hit or
+// miss). The engine sequences bandwidth and bursts itself, capped at
+// timing().bytes_per_cycle, so its per-cycle byte flow stays chunk-exact.
 #pragma once
 
 #include <cstdint>
-#include <queue>
 #include <vector>
 
 namespace copift::mem {
@@ -34,32 +24,17 @@ struct DramTiming {
   unsigned row_bytes = 2048;     // open-row size; also the channel stride
   unsigned bytes_per_cycle = 32; // per-channel bandwidth
   unsigned channels = 2;
-  unsigned max_inflight = 8;     // outstanding requests across all channels
 };
 
 class DramModel {
  public:
   explicit DramModel(const DramTiming& timing);
 
-  /// One scheduled burst: the cycle the request started occupying its
-  /// channel, the cycle its last byte arrives, and whether the row was open.
-  struct Access {
-    std::uint64_t start = 0;
-    std::uint64_t done = 0;
-    bool row_hit = false;
-  };
-
   /// Row-buffer bookkeeping for one burst at `addr`: records the hit/miss,
   /// opens the row, and returns the access latency in cycles. Bandwidth and
   /// request ordering are the caller's business (the DMA engine serializes
   /// its own queue).
   unsigned touch_row(std::uint32_t addr);
-
-  /// Schedule a whole `bytes`-byte burst arriving at cycle `now`: the burst
-  /// waits for a free in-flight slot and for its channel, pays the row
-  /// hit/miss latency, then streams at bytes_per_cycle. Requests must be
-  /// issued in nondecreasing `now` order (the engine and the tests both do).
-  Access access(std::uint64_t now, std::uint32_t addr, std::uint32_t bytes);
 
   [[nodiscard]] const DramTiming& timing() const noexcept { return timing_; }
   [[nodiscard]] std::uint64_t row_hits() const noexcept { return row_hits_; }
@@ -76,13 +51,7 @@ class DramModel {
 
   DramTiming timing_;
   static constexpr std::uint64_t kNoRow = ~std::uint64_t{0};
-  std::vector<std::uint64_t> open_row_;    // per channel; kNoRow = closed
-  std::vector<std::uint64_t> busy_until_;  // per channel; first free cycle
-  // Completion times of outstanding requests (min-heap); size is bounded by
-  // max_inflight — a full window delays the next issue to the earliest done.
-  std::priority_queue<std::uint64_t, std::vector<std::uint64_t>,
-                      std::greater<std::uint64_t>>
-      inflight_done_;
+  std::vector<std::uint64_t> open_row_;  // per channel; kNoRow = closed
   std::uint64_t row_hits_ = 0;
   std::uint64_t row_misses_ = 0;
 };

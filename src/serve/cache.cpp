@@ -134,7 +134,6 @@ std::string params_fingerprint(const sim::SimParams& p) {
   field("ssr_fifo_depth", p.ssr_fifo_depth);
   field("dma_bytes_per_cycle", p.dma_bytes_per_cycle);
   field("max_cycles", p.max_cycles);
-  field("skip_ahead", p.skip_ahead ? 1 : 0);
   field("dram_enabled", p.dram_enabled ? 1 : 0);
   field("dram_t_row_hit", p.dram_t_row_hit);
   field("dram_t_row_miss", p.dram_t_row_miss);
@@ -142,7 +141,6 @@ std::string params_fingerprint(const sim::SimParams& p) {
   field("dram_bytes_per_cycle", p.dram_bytes_per_cycle);
   field("dram_burst_bytes", p.dram_burst_bytes);
   field("dram_channels", p.dram_channels);
-  field("dram_max_inflight", p.dram_max_inflight);
   return out;
 }
 

@@ -1,7 +1,7 @@
 #include "sim/cluster.hpp"
 
-#include <algorithm>
 #include <array>
+#include <cstdio>
 
 #include "common/error.hpp"
 
@@ -29,7 +29,6 @@ Cluster::Cluster(std::shared_ptr<const rvasm::Program> program, ClusterTopology 
     timing.row_bytes = shared.dram_row_bytes;
     timing.bytes_per_cycle = shared.dram_bytes_per_cycle;
     timing.channels = shared.dram_channels;
-    timing.max_inflight = shared.dram_max_inflight;
     dram_ = std::make_unique<mem::DramModel>(timing);
     dma_.attach_dram(*dram_, shared.dram_burst_bytes);
   }
@@ -173,79 +172,29 @@ void Cluster::tick() {
   for (auto& cx : complexes_) cx->counters().cycles = cycle_;
 }
 
-bool Cluster::try_skip() {
-  // A clock jump is legal only when no agent can change architectural state
-  // this cycle and at least one knows its wake-up time. SSR stream traffic
-  // (a lane wanting a data/index access) always counts as progress, so any
-  // active stream pins the cluster to per-cycle execution.
-  std::array<WakeInfo, kMaxHarts> core_wake;
-  std::array<WakeInfo, kMaxHarts> fpss_wake;
-  std::uint64_t window = ~std::uint64_t{0};
-  bool has_sleeper = false;
+std::string Cluster::fault_location() const {
+  std::string out = " (cycle " + std::to_string(cycle_);
+  char pc[16];
   for (unsigned h = 0; h < complexes_.size(); ++h) {
-    const CoreComplex& cx = *complexes_[h];
-    if (cx.ssr().wants_any_access()) return false;
-    fpss_wake[h] = cx.fpss().probe(cycle_);
-    if (fpss_wake[h].kind == WakeInfo::Kind::kProgress) return false;
-    core_wake[h] = cx.core().probe(cycle_);
-    if (core_wake[h].kind == WakeInfo::Kind::kProgress) return false;
-    for (const WakeInfo& w : {core_wake[h], fpss_wake[h]}) {
-      if (w.kind == WakeInfo::Kind::kSleep) {
-        has_sleeper = true;
-        window = std::min(window, w.wake);
-      }
-    }
+    const IntCore& core = complexes_[h]->core();
+    std::snprintf(pc, sizeof(pc), "0x%08x", core.pc());
+    out += "; hart " + std::to_string(h) + " pc " + pc;
+    const std::string sym = program_->symbolize(core.pc());
+    if (!sym.empty()) out += " <" + sym + ">";
+    if (core.halted()) out += " [halted]";
   }
-  // Every hart blocked on another agent with no provable wake (e.g. a
-  // program deadlock): fall back to ticking so max_cycles still fires.
-  if (!has_sleeper) return false;
-  // Never jump past the cycle budget, so the timeout path counts the same
-  // number of cycles as per-cycle execution.
-  window = std::min(window, topo_.shared().max_cycles);
-  // Jump: cycles [cycle_, window) are pure stalls; attribute them in bulk.
-  const std::uint64_t n = window - cycle_;
-  for (unsigned h = 0; h < complexes_.size(); ++h) {
-    CoreComplex& cx = *complexes_[h];
-    cx.core().skip_stall(cycle_, n, core_wake[h].cause);
-    cx.fpss().skip_stall(cycle_, n, fpss_wake[h].cause);
-  }
-  dma_.advance(n);
-  complexes_.front()->counters().dma_busy_cycles = dma_.busy_cycles();
-  complexes_.front()->counters().dma_bytes = dma_.bytes_moved();
-  if (dram_) {
-    complexes_.front()->counters().dram_row_hits = dram_->row_hits();
-    complexes_.front()->counters().dram_row_misses = dram_->row_misses();
-  }
-  cycle_ = window;
-  for (auto& cx : complexes_) cx->counters().cycles = cycle_;
-  ++skip_jumps_;
-  skipped_cycles_ += n;
-  return true;
-}
-
-void Cluster::step_fast() {
-  if (cycle_ >= next_probe_) {
-    if (try_skip()) {
-      probe_backoff_ = 0;
-      return;
-    }
-    // Failed probe: suppress probing for exponentially more ticks so the
-    // overhead vanishes while the cluster is busy issuing.
-    probe_backoff_ = std::min<std::uint64_t>(probe_backoff_ == 0 ? 1 : probe_backoff_ * 2, 16);
-    next_probe_ = cycle_ + probe_backoff_;
-  }
-  tick();
+  return out + ")";
 }
 
 RunResult Cluster::run() {
   const std::uint64_t max_cycles = topo_.shared().max_cycles;
-  const bool fast = topo_.shared().skip_ahead;
-  while (!halted() && cycle_ < max_cycles) {
-    fast ? step_fast() : tick();
-  }
-  // Drain in-flight FP work so memory state is final at halt.
-  while (halted() && !all_fpss_idle() && cycle_ < max_cycles) {
-    fast ? step_fast() : tick();
+  try {
+    while (!halted() && cycle_ < max_cycles) tick();
+    // Drain in-flight FP work so memory state is final at halt.
+    while (halted() && !all_fpss_idle() && cycle_ < max_cycles) tick();
+  } catch (const SimError& fault) {
+    // tick() throws before advancing cycle_, so this names the faulting cycle.
+    throw SimError(fault, fault_location());
   }
   RunResult result;
   result.halted = halted();

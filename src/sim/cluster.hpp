@@ -17,6 +17,7 @@
 
 #include <cstdint>
 #include <memory>
+#include <string>
 #include <vector>
 
 #include "mem/address_space.hpp"
@@ -57,23 +58,18 @@ class Cluster {
   Cluster(rvasm::Program program, ClusterTopology topology);
 
   /// Run until every hart executes `ecall` (plus the FPSS drain) or
-  /// max_cycles elapse.
+  /// max_cycles elapse. A SimError raised inside the cycle loop is rethrown
+  /// with the cycle and every hart's PC (and nearest label) appended.
   RunResult run();
 
   /// Advance exactly one cycle (exposed for fine-grained tests).
   void tick();
 
-  /// Advance one cycle OR jump the clock over a provable all-harts wait
-  /// (used by run() when SimParams::skip_ahead is set; exposed for tests).
-  /// Bit-exact with repeated tick(): skipped cycles are attributed in bulk
-  /// to each agent's probed stall cause, including trace events.
-  void step_fast();
-
-  // --- skip-ahead diagnostics ----------------------------------------------
-  /// Number of clock jumps step_fast() performed.
-  [[nodiscard]] std::uint64_t skip_jumps() const noexcept { return skip_jumps_; }
-  /// Total cycles covered by those jumps (cycles not individually ticked).
-  [[nodiscard]] std::uint64_t skipped_cycles() const noexcept { return skipped_cycles_; }
+  /// Always 0: the clock advances one cycle per tick(). Kept for the
+  /// benchmark's `sim.skipped_ratio` and `sim.skip_jumps` metrics (perfbench/),
+  /// their only readers.
+  [[nodiscard]] std::uint64_t skip_jumps() const noexcept { return 0; }
+  [[nodiscard]] std::uint64_t skipped_cycles() const noexcept { return 0; }
 
   /// True when every hart has halted.
   [[nodiscard]] bool halted() const noexcept;
@@ -125,9 +121,8 @@ class Cluster {
 
  private:
   [[nodiscard]] bool all_fpss_idle() const noexcept;
-  /// Probe every agent; on a provable all-harts wait, jump the clock and
-  /// return true. Returns false (without ticking) when no skip is possible.
-  bool try_skip();
+  /// " (cycle N; hart 0 pc 0x... <label+0xNN>; ...)": where a fault hit.
+  [[nodiscard]] std::string fault_location() const;
 
   enum class RequestSrc : std::uint8_t { kCore, kFpss, kSsr };
   struct RequestTag {
@@ -153,14 +148,6 @@ class Cluster {
   // into themselves, so their addresses must be stable.
   std::vector<std::unique_ptr<CoreComplex>> complexes_;
   std::uint64_t cycle_ = 0;
-  std::uint64_t skip_jumps_ = 0;
-  std::uint64_t skipped_cycles_ = 0;
-  // Probe back-off: a failed probe (no skip possible) suppresses probing for
-  // exponentially more ticks, so probe overhead stays negligible while the
-  // cluster is busy issuing; any successful jump resets it. Skips are purely
-  // an optimization, so missing one never affects exactness.
-  std::uint64_t probe_backoff_ = 0;
-  std::uint64_t next_probe_ = 0;
   // Rebuilt on demand by counters() for multi-hart clusters.
   mutable ActivityCounters agg_;
   // tick() scratch space, kept as members so the per-cycle hot path does no

@@ -48,41 +48,25 @@ IntCore::IntCore(const SimParams& params, const DecodedProgram& decoded,
   wb_ring_mask_ = size - 1;
 }
 
-void IntCore::add_stall(StallCause cause, std::uint64_t n) {
+void IntCore::account(std::uint64_t now, StallCause cause) {
   switch (cause) {
-    case StallCause::kIntRaw: counters_->stall_raw += n; break;
-    case StallCause::kIntWbPort: counters_->stall_wb_port += n; break;
-    case StallCause::kIntOffloadFull: counters_->stall_offload_full += n; break;
-    case StallCause::kIntFrontend: counters_->stall_icache += n; break;
-    case StallCause::kIntBranch: counters_->stall_branch += n; break;
-    case StallCause::kIntDivBusy: counters_->stall_div_busy += n; break;
-    case StallCause::kIntTcdm: counters_->stall_tcdm += n; break;
-    case StallCause::kIntMemOrder: counters_->stall_mem_order += n; break;
-    case StallCause::kIntBarrier: counters_->stall_barrier += n; break;
-    case StallCause::kIntHwBarrier: counters_->stall_hw_barrier += n; break;
-    case StallCause::kIntDmaWait: counters_->stall_dma_wait += n; break;
-    case StallCause::kIntDmaDram: counters_->stall_dma_dram += n; break;
-    case StallCause::kIntOffload: counters_->int_offloads += n; break;
-    case StallCause::kIntHalted: counters_->int_halt_cycles += n; break;
+    case StallCause::kIntRaw: ++counters_->stall_raw; break;
+    case StallCause::kIntWbPort: ++counters_->stall_wb_port; break;
+    case StallCause::kIntOffloadFull: ++counters_->stall_offload_full; break;
+    case StallCause::kIntFrontend: ++counters_->stall_icache; break;
+    case StallCause::kIntBranch: ++counters_->stall_branch; break;
+    case StallCause::kIntDivBusy: ++counters_->stall_div_busy; break;
+    case StallCause::kIntTcdm: ++counters_->stall_tcdm; break;
+    case StallCause::kIntMemOrder: ++counters_->stall_mem_order; break;
+    case StallCause::kIntBarrier: ++counters_->stall_barrier; break;
+    case StallCause::kIntHwBarrier: ++counters_->stall_hw_barrier; break;
+    case StallCause::kIntDmaWait: ++counters_->stall_dma_wait; break;
+    case StallCause::kIntDmaDram: ++counters_->stall_dma_dram; break;
+    case StallCause::kIntOffload: ++counters_->int_offloads; break;
+    case StallCause::kIntHalted: ++counters_->int_halt_cycles; break;
     default: throw SimError("FPSS stall cause attributed to the integer core");
   }
-}
-
-void IntCore::account(std::uint64_t now, StallCause cause) {
-  add_stall(cause, 1);
   tracer_->record_stall(now, TraceUnit::kIntCore, cause);
-}
-
-void IntCore::skip_stall(std::uint64_t now, std::uint64_t n, StallCause cause) {
-  add_stall(cause, n);
-  // Per-cycle execution would have decremented these counters each stall.
-  if (cause == StallCause::kIntFrontend) fetch_stall_ -= static_cast<unsigned>(n);
-  if (cause == StallCause::kIntBranch) branch_stall_ -= static_cast<unsigned>(n);
-  if (tracer_->enabled()) {
-    for (std::uint64_t i = 0; i < n; ++i) {
-      tracer_->record_stall(now + i, TraceUnit::kIntCore, cause);
-    }
-  }
 }
 
 void IntCore::write_rd(unsigned rd, std::uint32_t value, std::uint64_t ready_at) {
@@ -567,133 +551,6 @@ void IntCore::commit(std::uint64_t now, bool granted) {
   }
   retire_and_advance(pc_ + 4, now);
   mem_action_ = MemAction::kNone;
-}
-
-WakeInfo IntCore::probe_csr(const MicroOp& op, std::uint64_t now) const {
-  const auto csr = static_cast<std::uint16_t>(op.imm);
-  const bool imm_form = op.mnemonic == Mnemonic::kCsrrwi || op.mnemonic == Mnemonic::kCsrrsi ||
-                        op.mnemonic == Mnemonic::kCsrrci;
-  const std::uint32_t src = imm_form ? op.rs1 : regs_[op.rs1];
-  const bool is_write = op.mnemonic == Mnemonic::kCsrrw || op.mnemonic == Mnemonic::kCsrrwi;
-  const bool is_set = op.mnemonic == Mnemonic::kCsrrs || op.mnemonic == Mnemonic::kCsrrsi;
-  if (op.rd != 0 && !wb_free(now + 1)) return WakeInfo::sleep(now + 1, StallCause::kIntWbPort);
-  switch (csr) {
-    case isa::kCsrSsr: {
-      const std::uint32_t old = ssr_->enabled() ? 1 : 0;
-      std::uint32_t next = is_write ? src : is_set ? (old | src) : (old & ~src);
-      next &= 1;
-      if (old != 0 && next == 0 && !(ssr_->all_idle() && fpss_->idle())) {
-        return WakeInfo::blocked(StallCause::kIntBarrier);
-      }
-      return WakeInfo::progress();
-    }
-    case isa::kCsrFpss:
-      if (op.rd != 0 && !fpss_->idle()) return WakeInfo::blocked(StallCause::kIntBarrier);
-      return WakeInfo::progress();
-    case isa::kCsrBarrier:
-      // A hart that has not registered yet would mutate the barrier this
-      // cycle (that counts as progress); a registered hart just re-polls.
-      if (barrier_->would_block(hart_id_)) return WakeInfo::blocked(StallCause::kIntHwBarrier);
-      return WakeInfo::progress();
-    default:
-      return WakeInfo::progress();
-  }
-}
-
-WakeInfo IntCore::probe(std::uint64_t now) const {
-  // Mirrors prepare() in order; every kSleep/kBlocked answer corresponds to
-  // a condition that stays true (with the same stall cause) until the
-  // reported wake cycle, because every agent that could change it is itself
-  // stalled during a skip window.
-  if (fpss_->has_int_writeback()) return WakeInfo::progress();
-  if (halted_) return WakeInfo::blocked(StallCause::kIntHalted);
-  if (fetch_stall_ > 0) return WakeInfo::sleep(now + fetch_stall_, StallCause::kIntFrontend);
-  if (branch_stall_ > 0) return WakeInfo::sleep(now + branch_stall_, StallCause::kIntBranch);
-  if (!fetch_done_) return WakeInfo::progress();  // fetch charges the L0 this cycle
-
-  const MicroOp& op = *op_;
-  const std::uint64_t ready =
-      std::max({ready_[op.sb_rs1], ready_[op.sb_rs2], ready_[op.sb_rd]});
-  if (ready > now) {
-    // kBusy means an in-flight FPSS integer writeback clears it; that drain
-    // is bounded by the FPSS probe's wake, so report "blocked" here.
-    if (ready == kBusy) return WakeInfo::blocked(StallCause::kIntRaw);
-    return WakeInfo::sleep(ready, StallCause::kIntRaw);
-  }
-
-  switch (op.unit) {
-    case ExecUnit::kIntAlu:
-    case ExecUnit::kMul:
-    case ExecUnit::kDiv: {
-      unsigned latency = 1;
-      if (op.unit == ExecUnit::kMul) latency = params_.mul_latency;
-      if (op.unit == ExecUnit::kDiv) {
-        if (div_busy_until_ > now) {
-          return WakeInfo::sleep(div_busy_until_, StallCause::kIntDivBusy);
-        }
-        latency = params_.div_latency;
-      }
-      if (op.rd != 0 && !wb_free(now + latency)) {
-        return WakeInfo::sleep(now + 1, StallCause::kIntWbPort);
-      }
-      return WakeInfo::progress();
-    }
-    case ExecUnit::kLoad: {
-      if (op.rd != 0 && !wb_free(now + params_.load_use_latency)) {
-        return WakeInfo::sleep(now + 1, StallCause::kIntWbPort);
-      }
-      const std::uint32_t addr = regs_[op.rs1] + static_cast<std::uint32_t>(op.imm);
-      if (fpss_->store_conflict(addr, 4)) return WakeInfo::blocked(StallCause::kIntMemOrder);
-      return WakeInfo::progress();  // TCDM request
-    }
-    case ExecUnit::kStore:
-    case ExecUnit::kBranch:
-    case ExecUnit::kSys:
-      return WakeInfo::progress();
-    case ExecUnit::kJump:
-      if (op.rd != 0 && !wb_free(now + 1)) {
-        return WakeInfo::sleep(now + 1, StallCause::kIntWbPort);
-      }
-      return WakeInfo::progress();
-    case ExecUnit::kCsr:
-      return probe_csr(op, now);
-    case ExecUnit::kDma:
-      if (op.mnemonic == Mnemonic::kDmwait) {
-        if (dma_->pending() == 0) return WakeInfo::progress();
-        // The probe runs before this cycle's DMA tick. If the queue needs K
-        // more ticks, prepare() (which observes post-tick state) retires at
-        // now + K - 1; the cycles before that stall with a constant cause.
-        // A bound of <= 1 means this very cycle may retire: report progress.
-        // While a DRAM-touching transfer is in flight the cause is
-        // kIntDmaDram; dram_drain_cycles_lower_bound() bounds the window
-        // over which that stays true.
-        if (dma_->dram_pending() > 0) {
-          const std::uint64_t k = dma_->dram_drain_cycles_lower_bound();
-          if (k <= 1) return WakeInfo::progress();
-          return WakeInfo::sleep(now + k - 1, StallCause::kIntDmaDram);
-        }
-        const std::uint64_t k = dma_->drain_cycles_lower_bound();
-        if (k <= 1) return WakeInfo::progress();
-        return WakeInfo::sleep(now + k - 1, StallCause::kIntDmaWait);
-      }
-      if (op.rd != 0 && !wb_free(now + 1)) {
-        return WakeInfo::sleep(now + 1, StallCause::kIntWbPort);
-      }
-      return WakeInfo::progress();
-    case ExecUnit::kBarrier:
-      if (!fpss_->quiescent_below(epoch_counter_)) {
-        return WakeInfo::blocked(StallCause::kIntBarrier);
-      }
-      return WakeInfo::progress();
-    case ExecUnit::kFrep:
-    case ExecUnit::kSsrCfg:
-    case ExecUnit::kFpu:
-    case ExecUnit::kFpLoad:
-    case ExecUnit::kFpStore:
-      if (fpss_->fifo_full()) return WakeInfo::blocked(StallCause::kIntOffloadFull);
-      return WakeInfo::progress();
-  }
-  return WakeInfo::progress();
 }
 
 }  // namespace copift::sim

@@ -20,7 +20,6 @@
 #include "sim/params.hpp"
 #include "sim/topology.hpp"
 #include "sim/trace.hpp"
-#include "sim/wake.hpp"
 
 namespace copift::sim {
 
@@ -42,13 +41,6 @@ class IntCore {
   std::optional<mem::TcdmRequest> prepare(std::uint64_t now);
   /// Phase 2: finalize a memory action after arbitration.
   void commit(std::uint64_t now, bool granted);
-
-  /// Side-effect-free mirror of prepare()'s stall conditions for the
-  /// skip-ahead clock: would this core stall at `now`, and until when?
-  [[nodiscard]] WakeInfo probe(std::uint64_t now) const;
-  /// Attribute `n` skipped cycles (starting at `now`) to `cause` — the bulk
-  /// equivalent of `n` stalled prepare() calls, including trace events.
-  void skip_stall(std::uint64_t now, std::uint64_t n, StallCause cause);
 
   [[nodiscard]] std::uint32_t reg(unsigned index) const noexcept { return regs_[index]; }
   void set_reg(unsigned index, std::uint32_t value) noexcept {
@@ -77,8 +69,6 @@ class IntCore {
   // ActivityCounters field and, when tracing, records the StallEvent — the
   // single place that keeps counters and trace in lockstep.
   void account(std::uint64_t now, StallCause cause);
-  void add_stall(StallCause cause, std::uint64_t n);
-  [[nodiscard]] WakeInfo probe_csr(const MicroOp& op, std::uint64_t now) const;
   // Single RF write-port bookings live in a fixed ring indexed by cycle:
   // a slot blocks exactly the cycle stored in it, so entries for past cycles
   // go stale by construction and are overwritten in place — no per-cycle

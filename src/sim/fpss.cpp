@@ -51,30 +51,17 @@ FpSubsystem::FpSubsystem(const SimParams& params, mem::AddressSpace& memory, ssr
   outstanding_by_epoch_.reserve(8);
 }
 
-void FpSubsystem::add_stall(StallCause cause, std::uint64_t n) {
+void FpSubsystem::account(std::uint64_t now, StallCause cause) {
   switch (cause) {
-    case StallCause::kFpRaw: counters_->fpss_stall_raw += n; break;
-    case StallCause::kFpSsr: counters_->fpss_stall_ssr += n; break;
-    case StallCause::kFpStruct: counters_->fpss_stall_struct += n; break;
-    case StallCause::kFpTcdm: counters_->fpss_stall_tcdm += n; break;
-    case StallCause::kFpCfg: counters_->fpss_cfg_cycles += n; break;
-    case StallCause::kFpIdle: counters_->fpss_idle += n; break;
+    case StallCause::kFpRaw: ++counters_->fpss_stall_raw; break;
+    case StallCause::kFpSsr: ++counters_->fpss_stall_ssr; break;
+    case StallCause::kFpStruct: ++counters_->fpss_stall_struct; break;
+    case StallCause::kFpTcdm: ++counters_->fpss_stall_tcdm; break;
+    case StallCause::kFpCfg: ++counters_->fpss_cfg_cycles; break;
+    case StallCause::kFpIdle: ++counters_->fpss_idle; break;
     default: throw SimError("integer-core stall cause attributed to the FPSS");
   }
-}
-
-void FpSubsystem::account(std::uint64_t now, StallCause cause) {
-  add_stall(cause, 1);
   tracer_->record_stall(now, TraceUnit::kFpss, cause);
-}
-
-void FpSubsystem::skip_stall(std::uint64_t now, std::uint64_t n, StallCause cause) {
-  add_stall(cause, n);
-  if (tracer_->enabled()) {
-    for (std::uint64_t i = 0; i < n; ++i) {
-      tracer_->record_stall(now + i, TraceUnit::kFpss, cause);
-    }
-  }
 }
 
 void FpSubsystem::offload(OffloadEntry entry) {
@@ -380,111 +367,6 @@ std::optional<mem::TcdmRequest> FpSubsystem::prepare(std::uint64_t now) {
     }
   }
   return std::nullopt;
-}
-
-WakeInfo FpSubsystem::probe_compute(std::uint64_t now, const isa::Instr& instr,
-                                    const isa::InstrInfo& meta) const {
-  // Mirrors try_issue_compute()'s stall conditions in order. SSR-related
-  // stalls are reported as blocked: their wake-up comes from lane traffic,
-  // and any lane that still wants memory access pins the cluster to
-  // per-cycle execution anyway.
-  if (fpu_busy_until_ > now) return WakeInfo::sleep(fpu_busy_until_, StallCause::kFpStruct);
-  std::array<unsigned, isa::kNumSsrLanes> ssr_need{};
-  bool raw_stall = false;
-  std::uint64_t raw_ready = 0;
-  const auto check_src = [&](RegClass cls, unsigned reg) {
-    if (cls != RegClass::kFp) return;
-    if (ssr_read_reg(reg)) {
-      ++ssr_need[reg];
-    } else if (fp_ready_[reg] > now) {
-      raw_stall = true;
-      raw_ready = std::max(raw_ready, fp_ready_[reg]);
-    }
-  };
-  check_src(meta.rs1_class, instr.rs1);
-  check_src(meta.rs2_class, instr.rs2);
-  check_src(meta.rs3_class, instr.rs3);
-  for (unsigned lane = 0; lane < isa::kNumSsrLanes; ++lane) {
-    if (ssr_need[lane] > 0 && ssr_->lane(lane).ready_count() < ssr_need[lane]) {
-      return WakeInfo::blocked(StallCause::kFpSsr);
-    }
-  }
-  if (raw_stall) return WakeInfo::sleep(raw_ready, StallCause::kFpRaw);
-  const unsigned latency = params_.fpu.of(meta.fpu_class);
-  const bool dest_ssr = meta.rd_class == RegClass::kFp && ssr_write_reg(instr.rd);
-  if (dest_ssr) {
-    if (!ssr_->lane(instr.rd).can_push()) return WakeInfo::blocked(StallCause::kFpSsr);
-  } else if (meta.rd_class == RegClass::kFp) {
-    if (fp_ready_[instr.rd] > now) return WakeInfo::sleep(fp_ready_[instr.rd], StallCause::kFpRaw);
-    if (wb_port_booked(now + latency)) return WakeInfo::sleep(now + 1, StallCause::kFpStruct);
-  }
-  return WakeInfo::progress();
-}
-
-WakeInfo FpSubsystem::probe_issue(std::uint64_t now) const {
-  if (sequencer_.replaying()) {
-    const frep::FrepEntry& e = sequencer_.current();
-    return probe_compute(now, e.instr, e.instr.meta());
-  }
-  if (fifo_.empty()) return WakeInfo::blocked(StallCause::kFpIdle);
-  const OffloadEntry& head = fifo_.front();
-  switch (head.kind) {
-    case OffloadKind::kCompute:
-      return probe_compute(now, head.instr, *head.meta);
-    case OffloadKind::kFrepCfg:
-    case OffloadKind::kSsrCfgWrite:
-    case OffloadKind::kSsrCfgRead: {
-      if (head.kind == OffloadKind::kSsrCfgWrite) {
-        const auto imm = static_cast<unsigned>(head.instr.imm);
-        const unsigned reg = imm % 32;
-        const unsigned lane = imm / 32;
-        if (reg >= ssr::kRegRptr0 && lane < isa::kNumSsrLanes && !ssr_->lane(lane).idle()) {
-          return WakeInfo::blocked(StallCause::kFpStruct);  // re-arm backpressure
-        }
-      }
-      return WakeInfo::progress();
-    }
-    case OffloadKind::kLoad:
-      if (fp_ready_[head.instr.rd] > now) {
-        return WakeInfo::sleep(fp_ready_[head.instr.rd], StallCause::kFpRaw);
-      }
-      if (wb_port_booked(now + params_.fp_load_latency)) {
-        return WakeInfo::sleep(now + 1, StallCause::kFpStruct);
-      }
-      return WakeInfo::progress();  // TCDM request
-    case OffloadKind::kStore: {
-      const unsigned rs2 = head.instr.rs2;
-      if (ssr_read_reg(rs2)) {
-        if (!ssr_->lane(rs2).can_pop()) return WakeInfo::blocked(StallCause::kFpSsr);
-      } else if (fp_ready_[rs2] > now) {
-        return WakeInfo::sleep(fp_ready_[rs2], StallCause::kFpRaw);
-      }
-      return WakeInfo::progress();  // TCDM request
-    }
-  }
-  return WakeInfo::progress();
-}
-
-WakeInfo FpSubsystem::probe(std::uint64_t now) const {
-  // begin_cycle() work due at `now` is progress (completion retirements and
-  // drained-token processing change state the integer core can observe).
-  std::uint64_t event = ~std::uint64_t{0};
-  if (!completions_.empty()) {
-    if (completions_.front().cycle <= now) return WakeInfo::progress();
-    event = completions_.front().cycle;
-  }
-  for (unsigned lane = 0; lane < isa::kNumSsrLanes; ++lane) {
-    if (ssr_->lane(lane).has_drained_tokens()) return WakeInfo::progress();
-  }
-  const WakeInfo stall = probe_issue(now);
-  if (stall.kind == WakeInfo::Kind::kProgress) return stall;
-  // The earliest pending completion caps any sleep: at that cycle
-  // begin_cycle() retires it, which may unblock this or another agent.
-  if (stall.kind == WakeInfo::Kind::kSleep) {
-    return WakeInfo::sleep(std::min(stall.wake, event), stall.cause);
-  }
-  if (event != ~std::uint64_t{0}) return WakeInfo::sleep(event, stall.cause);
-  return stall;
 }
 
 void FpSubsystem::commit(std::uint64_t now, bool granted) {

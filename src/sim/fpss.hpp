@@ -30,7 +30,6 @@
 #include "sim/counters.hpp"
 #include "sim/params.hpp"
 #include "sim/trace.hpp"
-#include "sim/wake.hpp"
 #include "ssr/ssr.hpp"
 
 namespace copift::sim {
@@ -71,7 +70,6 @@ class FpSubsystem {
   [[nodiscard]] bool fifo_full() const noexcept { return fifo_.size() >= params_.offload_fifo_depth; }
   void offload(OffloadEntry entry);
   [[nodiscard]] std::optional<IntWriteback> take_int_writeback();
-  [[nodiscard]] bool has_int_writeback() const noexcept { return !int_wb_queue_.empty(); }
   /// All offloaded work retired (FIFO drained, sequencer idle, nothing in flight).
   [[nodiscard]] bool idle() const noexcept;
   /// copift.barrier condition: nothing with epoch < `epoch` still in flight.
@@ -90,15 +88,6 @@ class FpSubsystem {
   /// Finalize a memory action after arbitration.
   void commit(std::uint64_t now, bool granted);
 
-  /// Side-effect-free mirror of begin_cycle()+prepare() for the skip-ahead
-  /// clock: progress if anything would retire or issue at `now`, otherwise
-  /// the stall cause and (when provable) the earliest wake-up cycle — which
-  /// also bounds pending completion retirements, so no event is skipped.
-  [[nodiscard]] WakeInfo probe(std::uint64_t now) const;
-  /// Attribute `n` skipped cycles (starting at `now`) to `cause` — the bulk
-  /// equivalent of `n` stalled prepare() calls, including trace events.
-  void skip_stall(std::uint64_t now, std::uint64_t n, StallCause cause);
-
   [[nodiscard]] fpu::FpRegFile& rf() noexcept { return rf_; }
   [[nodiscard]] const fpu::FpRegFile& rf() const noexcept { return rf_; }
   [[nodiscard]] const frep::FrepSequencer& sequencer() const noexcept { return sequencer_; }
@@ -114,10 +103,6 @@ class FpSubsystem {
   // and, when tracing, records the StallEvent (counters and trace stay in
   // lockstep). FREP replay slots are attributed to the FPSS track too.
   void account(std::uint64_t now, StallCause cause);
-  void add_stall(StallCause cause, std::uint64_t n);
-  [[nodiscard]] WakeInfo probe_issue(std::uint64_t now) const;
-  [[nodiscard]] WakeInfo probe_compute(std::uint64_t now, const isa::Instr& instr,
-                                       const isa::InstrInfo& meta) const;
   void add_outstanding(std::uint64_t epoch, std::uint64_t n = 1);
   void complete_epoch(std::uint64_t epoch);
   void schedule_completion(std::uint64_t cycle, Completion c);

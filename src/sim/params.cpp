@@ -33,7 +33,6 @@ void SimParams::validate() const {
     }
     if (dram_bytes_per_cycle == 0) fail("dram_bytes_per_cycle must be >= 1");
     if (dram_channels == 0) fail("dram_channels must be >= 1");
-    if (dram_max_inflight == 0) fail("dram_max_inflight must be >= 1");
     if (dram_burst_bytes == 0) fail("dram_burst_bytes must be >= 1");
     // Bursts must cut the transfer at engine-chunk boundaries, or the
     // per-cycle byte flow would diverge from the flat path even with zero

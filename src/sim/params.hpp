@@ -56,8 +56,7 @@ struct SimParams {
   // dram_burst_bytes bursts; each burst pays the open-row hit or miss
   // latency before streaming at min(dma_bytes_per_cycle,
   // dram_bytes_per_cycle). Rows interleave across dram_channels at
-  // dram_row_bytes granularity, and at most dram_max_inflight requests can
-  // be outstanding in the closed-form request model (mem::DramModel).
+  // dram_row_bytes granularity (mem::DramModel).
   bool dram_enabled = false;
   unsigned dram_t_row_hit = 4;
   unsigned dram_t_row_miss = 30;
@@ -65,16 +64,8 @@ struct SimParams {
   unsigned dram_bytes_per_cycle = 32;
   unsigned dram_burst_bytes = 256;
   unsigned dram_channels = 2;
-  unsigned dram_max_inflight = 8;
 
   std::uint64_t max_cycles = 1'000'000'000;
-
-  /// Event-driven clock: when every hart is in a provable known-duration
-  /// wait, jump the cluster clock to the earliest wake-up instead of ticking
-  /// through the stall cycles one by one. Bit-exact by construction (stall
-  /// counters and trace events are applied in bulk); disable to force
-  /// per-cycle execution, e.g. when diffing against the skip path.
-  bool skip_ahead = true;
 
   /// Throw copift::Error (naming the offending field and value) on any
   /// configuration the simulator cannot honestly model: zero cores, banks,

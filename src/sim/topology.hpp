@@ -77,15 +77,6 @@ class HwBarrier {
   /// Returns true iff hart `h` may proceed past the barrier this cycle.
   bool try_pass(unsigned h);
 
-  /// Const mirror of try_pass for the skip-ahead probe: true iff hart `h`
-  /// has already registered for the current round and the round is still
-  /// incomplete, i.e. its next try_pass would return false without mutating
-  /// any state. (An unregistered hart's try_pass mutates, so the probe
-  /// reports it as progress instead.)
-  [[nodiscard]] bool would_block(unsigned h) const noexcept {
-    return !released_[h] && arrived_[h] && count_ < num_harts_;
-  }
-
   /// Completed barrier rounds (diagnostics).
   [[nodiscard]] std::uint64_t rounds() const noexcept { return rounds_; }
 

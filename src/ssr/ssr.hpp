@@ -174,16 +174,6 @@ class SsrUnit {
 
   [[nodiscard]] bool all_idle() const noexcept;
 
-  /// True if any lane wants a TCDM data or index access this cycle. Stream
-  /// traffic pins the cluster to per-cycle execution (skip-ahead gate).
-  [[nodiscard]] bool wants_any_access() const noexcept {
-    std::uint32_t addr = 0;
-    for (const auto& lane : lanes_) {
-      if (lane.wants_data_access(addr) || lane.wants_index_access(addr)) return true;
-    }
-    return false;
-  }
-
   /// Gather this cycle's TCDM requests (appends to `requests`, recording
   /// which lane/kind each request belongs to in `tags`).
   struct RequestTag {

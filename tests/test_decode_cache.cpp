@@ -1,14 +1,7 @@
-// Fidelity of the fast cycle loop (decode-once micro-op table + event-driven
-// skip-ahead clock + allocation-free steady state).
-//
-// The fast path is only legal because it is bit-exact: every registry
-// workload must produce identical cycles, counters, stall attribution, trace
-// streams, energy and memory state whether the cluster ticks every cycle or
-// jumps the clock over provable waits. These tests pin that equivalence at
-// cores=1 and cores=4, exercise the skip-ahead wakeup logic with hand-built
-// wait programs (divider, FREP drain, DMA), and verify the steady-state loop
-// performs no heap allocation with tracing off (via the operator new
-// override below).
+// Fidelity of the fast cycle loop (decode-once micro-op table +
+// allocation-free steady state): the decoded table is shared across clusters
+// running one program, and the steady-state loop performs no heap
+// allocation with tracing off (via the operator new override below).
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -16,16 +9,12 @@
 #include <cstdlib>
 #include <memory>
 #include <new>
-#include <string>
 
-#include "energy/energy.hpp"
-#include "kernels/kernels.hpp"
 #include "kernels/runner.hpp"
 #include "rvasm/assembler.hpp"
 #include "sim/cluster.hpp"
 #include "sim/decode.hpp"
 #include "sim/params.hpp"
-#include "sim/trace.hpp"
 #include "workload/workload.hpp"
 
 // --- global allocation counter ---------------------------------------------
@@ -64,144 +53,7 @@ namespace {
 using workload::Variant;
 using workload::WorkloadConfig;
 
-struct SimRun {
-  std::unique_ptr<Cluster> cluster;
-  RunResult result;
-};
-
-SimRun run_workload(const kernels::GeneratedKernel& kernel, bool skip_ahead, bool tracing) {
-  SimParams params;
-  params.num_cores = kernel.config.cores;
-  params.skip_ahead = skip_ahead;
-  SimRun r;
-  r.cluster = std::make_unique<Cluster>(rvasm::assemble(kernel.source), params);
-  r.cluster->set_tracing(tracing);
-  kernels::populate_inputs(*r.cluster, kernel);
-  r.result = r.cluster->run();
-  return r;
-}
-
-SimRun run_source(const std::string& source, bool skip_ahead, unsigned cores = 1) {
-  SimParams params;
-  params.num_cores = cores;
-  params.skip_ahead = skip_ahead;
-  SimRun r;
-  r.cluster = std::make_unique<Cluster>(rvasm::assemble(source), params);
-  r.result = r.cluster->run();
-  return r;
-}
-
-/// Every field the stall taxonomy maps plus the issue/idle aggregates: if
-/// these all match, the per-cycle attribution identity was preserved across
-/// every skipped interval.
-void expect_counters_equal(const ActivityCounters& a, const ActivityCounters& b) {
-  EXPECT_EQ(a.cycles, b.cycles);
-  EXPECT_EQ(a.int_retired, b.int_retired);
-  EXPECT_EQ(a.fp_retired, b.fp_retired);
-  EXPECT_EQ(a.frep_replays, b.frep_replays);
-  EXPECT_EQ(a.int_offloads, b.int_offloads);
-  EXPECT_EQ(a.int_halt_cycles, b.int_halt_cycles);
-  EXPECT_EQ(a.fpss_cfg_cycles, b.fpss_cfg_cycles);
-  EXPECT_EQ(a.fpss_idle, b.fpss_idle);
-  EXPECT_EQ(a.tcdm_reads, b.tcdm_reads);
-  EXPECT_EQ(a.tcdm_writes, b.tcdm_writes);
-  EXPECT_EQ(a.tcdm_conflicts, b.tcdm_conflicts);
-  EXPECT_EQ(a.ssr_elements, b.ssr_elements);
-  EXPECT_EQ(a.issr_indices, b.issr_indices);
-  EXPECT_EQ(a.l0_hits, b.l0_hits);
-  EXPECT_EQ(a.l0_refills, b.l0_refills);
-  EXPECT_EQ(a.dma_busy_cycles, b.dma_busy_cycles);
-  EXPECT_EQ(a.dma_bytes, b.dma_bytes);
-  for (unsigned i = 0; i < kNumStallCauses; ++i) {
-    const auto cause = static_cast<StallCause>(i);
-    EXPECT_EQ(stall_cause_counter_value(a, cause), stall_cause_counter_value(b, cause))
-        << "stall column " << stall_cause_counter_name(cause);
-  }
-}
-
-/// The per-hart accounting identities (they do not hold on the multi-hart
-/// aggregate, whose stall fields sum over harts while cycles takes the max).
-void expect_identities(const ActivityCounters& c) {
-  EXPECT_EQ(c.int_issue_cycles() + c.int_stall_cycles() + c.int_halt_cycles, c.cycles);
-  EXPECT_EQ(c.fpss_issue_cycles() + c.fpss_stall_cycles() + c.fpss_idle, c.cycles);
-}
-
-void expect_traces_equal(const Tracer& a, const Tracer& b) {
-  ASSERT_EQ(a.entries().size(), b.entries().size());
-  for (std::size_t i = 0; i < a.entries().size(); ++i) {
-    const TraceEntry& x = a.entries()[i];
-    const TraceEntry& y = b.entries()[i];
-    ASSERT_TRUE(x.cycle == y.cycle && x.pc == y.pc && x.unit == y.unit)
-        << "trace entry " << i << " diverges at cycle " << x.cycle << " vs " << y.cycle;
-  }
-  // The stall stream is compared per unit track: within one unit events are
-  // cycle-ordered in both modes, but a bulk-attributed skip window emits one
-  // unit's events before the other's, so the merged stream may interleave the
-  // tracks differently. Every consumer (report, Perfetto export) reads the
-  // stream per unit, where the two modes must be bit-identical.
-  ASSERT_EQ(a.stalls().size(), b.stalls().size());
-  for (const TraceUnit unit : {TraceUnit::kIntCore, TraceUnit::kFpss}) {
-    std::vector<StallEvent> xs, ys;
-    for (const StallEvent& e : a.stalls()) {
-      if (e.unit == unit) xs.push_back(e);
-    }
-    for (const StallEvent& e : b.stalls()) {
-      if (e.unit == unit) ys.push_back(e);
-    }
-    ASSERT_EQ(xs.size(), ys.size()) << trace_unit_name(unit);
-    for (std::size_t i = 0; i < xs.size(); ++i) {
-      ASSERT_TRUE(xs[i].cycle == ys[i].cycle && xs[i].cause == ys[i].cause)
-          << trace_unit_name(unit) << " stall event " << i << ": cycle " << xs[i].cycle
-          << " (" << stall_cause_name(xs[i].cause) << ") vs cycle " << ys[i].cycle << " ("
-          << stall_cause_name(ys[i].cause) << ")";
-    }
-  }
-}
-
-WorkloadConfig small_config(std::uint32_t cores) {
-  WorkloadConfig cfg;
-  cfg.n = 768;
-  cfg.block = 32;  // divides every per-hart chunk for cores in {1, 4}
-  cfg.cores = cores;
-  return cfg;
-}
-
-// --- whole-workload fidelity ------------------------------------------------
-
-// Every registry workload, both variants, cores=1 and cores=4: skip-ahead ON
-// must be bit-identical to per-cycle execution in cycles, every counter and
-// stall column (aggregate and per hart), both trace streams, the energy
-// estimate, and the verified memory outputs.
-TEST(DecodeCacheFidelity, SkipAheadBitExactForAllWorkloads) {
-  const energy::EnergyModel model;
-  for (const auto name : kernels::kPaperWorkloads) {
-    const auto wl = workload::WorkloadRegistry::instance().at(name);
-    for (const Variant variant : {Variant::kBaseline, Variant::kCopift}) {
-      for (const std::uint32_t cores : {1u, 4u}) {
-        SCOPED_TRACE(std::string(name) + "/" + workload::variant_name(variant) +
-                     " cores=" + std::to_string(cores));
-        const auto kernel = wl->instantiate(variant, small_config(cores));
-        SimRun slow = run_workload(kernel, /*skip_ahead=*/false, /*tracing=*/true);
-        SimRun fast = run_workload(kernel, /*skip_ahead=*/true, /*tracing=*/true);
-        EXPECT_EQ(slow.result.cycles, fast.result.cycles);
-        EXPECT_EQ(slow.result.exit_code, fast.result.exit_code);
-        EXPECT_EQ(slow.cluster->skip_jumps(), 0u);
-        expect_counters_equal(slow.cluster->counters(), fast.cluster->counters());
-        for (unsigned h = 0; h < cores; ++h) {
-          expect_identities(fast.cluster->complex(h).counters());
-          expect_counters_equal(slow.cluster->complex(h).counters(),
-                                fast.cluster->complex(h).counters());
-          expect_traces_equal(slow.cluster->complex(h).tracer(),
-                              fast.cluster->complex(h).tracer());
-        }
-        // Identical counters imply identical energy; assert it end to end.
-        EXPECT_EQ(model.evaluate(slow.cluster->counters()).total_pj,
-                  model.evaluate(fast.cluster->counters()).total_pj);
-        EXPECT_NO_THROW(kernels::verify_outputs(*fast.cluster, kernel));
-      }
-    }
-  }
-}
+// --- decode cache ------------------------------------------------------------
 
 // The decoded table is shared: two clusters over the same program instance
 // decode once, not twice.
@@ -217,146 +69,28 @@ TEST(DecodeCacheFidelity, DecodedProgramSharedAcrossClusters) {
   EXPECT_EQ(c1.run().cycles, c2.run().cycles);
 }
 
-// --- skip-ahead wakeup unit tests -------------------------------------------
-
-// A dependent use of an iterative-divider result is a provable sleep: the
-// scoreboard knows the exact ready cycle, so the fast loop must jump there
-// in one hop and attribute every skipped cycle to the RAW stall column.
-TEST(SkipAhead, DividerRawWaitIsSkippedExactly) {
-  const std::string source = R"(
-  li a0, 1000
-  li a1, 7
-  div a2, a0, a1
-  add a3, a2, a2
-  ecall
-)";
-  SimRun slow = run_source(source, /*skip_ahead=*/false);
-  SimRun fast = run_source(source, /*skip_ahead=*/true);
-  EXPECT_EQ(fast.result.cycles, slow.result.cycles);
-  expect_counters_equal(slow.cluster->counters(), fast.cluster->counters());
-  expect_identities(fast.cluster->counters());
-  EXPECT_GT(fast.cluster->skip_jumps(), 0u);
-  // The div latency dominates this program: most of the RAW wait must have
-  // been covered by jumps rather than ticks.
-  EXPECT_GE(fast.cluster->skipped_cycles(), 10u);
-  EXPECT_EQ(fast.cluster->core().reg(13), 2u * (1000u / 7u));
-}
-
-// An FPSS drain wait (csrr fpss) while an FREP replays long-latency divides:
-// the integer core is blocked, the FPSS sleeps on the FPU pipeline, and the
-// fast loop must hop from completion to completion without disturbing the
-// replay schedule.
-TEST(SkipAhead, FrepDrainWaitIsSkippedExactly) {
-  const std::string source = R"(
-.data
-val: .double 3.0
-.text
-  la a0, val
-  fld fa0, 0(a0)
-  fld fa1, 0(a0)
-  li t0, 7          # 8 replays of a serially-dependent fdiv chain
-  frep.o t0, 1
-  fdiv.d fa1, fa1, fa0
-  csrr t1, fpss     # block until the FPSS drains
-  ecall
-)";
-  SimRun slow = run_source(source, /*skip_ahead=*/false);
-  SimRun fast = run_source(source, /*skip_ahead=*/true);
-  EXPECT_EQ(fast.result.cycles, slow.result.cycles);
-  expect_counters_equal(slow.cluster->counters(), fast.cluster->counters());
-  expect_identities(fast.cluster->counters());
-  EXPECT_EQ(fast.cluster->counters().frep_replays, 7u);
-  EXPECT_GT(fast.cluster->skip_jumps(), 0u);
-  // 8 dependent 11-cycle divides: the bulk of the run is provable sleep.
-  EXPECT_GE(fast.cluster->skipped_cycles(), 40u);
-}
-
-// A DMA transfer progressing while the core waits on a divider: clock jumps
-// must advance the DMA engine chunk-exactly (same busy-cycle count and final
-// memory as per-cycle execution).
-TEST(SkipAhead, DmaAdvancesExactlyAcrossJumps) {
-  const std::string source = R"(
-.data
-src: .space 512
-dst: .space 512
-.text
-  la a0, src
-  dmsrc a0
-  la a1, dst
-  dmdst a1
-  li a2, 512
-  dmcpy a3, a2
-  li a0, 999
-  li a1, 3
-  div a2, a0, a1    # park the core on the divider while the DMA moves data
-  add a4, a2, a2
-  div a2, a0, a1
-  add a4, a2, a2
-wait:
-  dmstat a5
-  bnez a5, wait
-  ecall
-)";
-  SimRun slow = run_source(source, /*skip_ahead=*/false);
-  SimRun fast = run_source(source, /*skip_ahead=*/true);
-  EXPECT_EQ(fast.result.cycles, slow.result.cycles);
-  expect_counters_equal(slow.cluster->counters(), fast.cluster->counters());
-  expect_identities(fast.cluster->counters());
-  EXPECT_EQ(fast.cluster->dma().busy_cycles(), slow.cluster->dma().busy_cycles());
-  EXPECT_EQ(fast.cluster->dma().bytes_moved(), 512u);
-  EXPECT_GT(fast.cluster->skip_jumps(), 0u);
-}
-
-// The hardware barrier: harts arriving early sleep until the last one
-// arrives. With per-hart arrival staggered by divider chains, the fast loop
-// must wake every hart on the exact release cycle.
-TEST(SkipAhead, HwBarrierWaitBitExactAcrossHarts) {
-  const std::string source = R"(
-  csrr t0, mhartid
-  li t1, 1
-  add t2, t0, t1
-  li a0, 1000
-loop:                 # hart h runs (h+1) dependent divides before the barrier
-  div a1, a0, t2
-  add a2, a1, a1
-  addi t2, t2, -1
-  bnez t2, loop
-  csrr zero, barrier
-  ecall
-)";
-  SimRun slow = run_source(source, /*skip_ahead=*/false, /*cores=*/4);
-  SimRun fast = run_source(source, /*skip_ahead=*/true, /*cores=*/4);
-  EXPECT_EQ(fast.result.cycles, slow.result.cycles);
-  expect_counters_equal(slow.cluster->counters(), fast.cluster->counters());
-  for (unsigned h = 0; h < 4; ++h) {
-    expect_identities(fast.cluster->complex(h).counters());
-    expect_counters_equal(slow.cluster->complex(h).counters(),
-                          fast.cluster->complex(h).counters());
-  }
-  EXPECT_GT(fast.cluster->skip_jumps(), 0u);
-}
-
 // --- allocation-free steady state -------------------------------------------
 
 // After warmup (ring FIFOs grown, lazy pages touched, completion heap
 // sized), the cycle loop must not touch the heap at all with tracing off —
-// for the full COPIFT kernel including SSR streams, FREP replays and the
-// skip-ahead probes.
+// for the full COPIFT kernel including SSR streams and FREP replays.
 TEST(AllocationFree, SteadyStateDoesNotAllocate) {
-  const auto wl = workload::WorkloadRegistry::instance().at("exp");
-  const auto kernel = wl->instantiate(Variant::kCopift, small_config(1));
-  SimParams params;
-  params.num_cores = 1;
+  WorkloadConfig cfg;
+  cfg.n = 768;
+  cfg.block = 32;
+  const auto kernel = workload::WorkloadRegistry::instance().at("exp")->instantiate(
+      Variant::kCopift, cfg);
+  const SimParams params;
   Cluster cluster(rvasm::assemble(kernel.source), params);
   kernels::populate_inputs(cluster, kernel);
-  // Warm up the first half of the run with the fast loop engaged.
+  // Warm up over the first half of the run.
   Cluster reference(rvasm::assemble(kernel.source), params);
   kernels::populate_inputs(reference, kernel);
   const std::uint64_t total = reference.run().cycles;
-  while (!cluster.halted() && cluster.cycles() < total / 2) cluster.step_fast();
+  while (!cluster.halted() && cluster.cycles() < total / 2) cluster.tick();
   ASSERT_FALSE(cluster.halted());
   const std::uint64_t before = g_alloc_count.load();
-  while (!cluster.halted()) cluster.step_fast();
+  while (!cluster.halted()) cluster.tick();
   EXPECT_EQ(g_alloc_count.load(), before)
       << "steady-state cycle loop allocated " << (g_alloc_count.load() - before)
       << " times";

@@ -6,18 +6,15 @@
 // that do drive DMA traffic into the DRAM window a *neutral* DRAM (zero row
 // latency, bandwidth at least the engine's) must reproduce the flat path
 // bit-for-bit. These tests pin that equivalence over every registry
-// workload at cores=1 and cores=4 with skip-ahead on and off (mirroring
-// test_decode_cache.cpp's fidelity matrix), check the closed-form
-// DramModel::access scheduler against a naive cycle-walking reference over
-// randomized request streams, and exercise the dmwait skip-ahead wakeup
-// against real DRAM timing.
+// workload at cores=1 and cores=4, check that real DRAM timing keeps the
+// accounting identities and outputs, pin DramModel's row-buffer hit/miss
+// sequence exactly, and check the dmwait stall-cause split by traffic.
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <iterator>
 #include <memory>
-#include <random>
 #include <string>
-#include <vector>
 
 #include "energy/energy.hpp"
 #include "kernels/runner.hpp"
@@ -125,13 +122,13 @@ WorkloadConfig fitting_config(const workload::Workload& wl, Variant variant,
 
 // --- whole-workload differential --------------------------------------------
 
-// Every registry workload, every supported variant, cores=1 and cores=4,
-// skip-ahead on and off: a present-but-neutral DRAM must be bit-identical to
-// no DRAM at all — cycles, every counter and stall column (aggregate and per
-// hart), the energy estimate, and the verified memory outputs. Workloads
-// whose DMA stream never leaves TCDM are additionally row-tally-identical
-// (both zero); exp/log drive their staging stream through the DRAM window,
-// so their burst tallies are excluded (a neutral DRAM still counts rows).
+// Every registry workload, every supported variant, cores=1 and cores=4: a
+// present-but-neutral DRAM must be bit-identical to no DRAM at all — cycles,
+// every counter and stall column (aggregate and per hart), the energy
+// estimate, and the verified memory outputs. Workloads whose DMA stream
+// never leaves TCDM are additionally row-tally-identical (both zero);
+// exp/log drive their staging stream through the DRAM window, so their
+// burst tallies are excluded (a neutral DRAM still counts rows).
 TEST(DramDifferential, NeutralDramBitExactForAllWorkloads) {
   const energy::EnergyModel model;
   const auto& registry = workload::WorkloadRegistry::instance();
@@ -140,180 +137,91 @@ TEST(DramDifferential, NeutralDramBitExactForAllWorkloads) {
     for (const Variant variant : wl->variants()) {
       for (const std::uint32_t cores : {1u, 4u}) {
         if (cores > 1 && !wl->multi_hart_capable(variant)) continue;
-        for (const bool skip_ahead : {true, false}) {
-          SCOPED_TRACE(name + "/" + workload::variant_name(variant) +
-                       " cores=" + std::to_string(cores) +
-                       (skip_ahead ? " skip=on" : " skip=off"));
-          const auto cfg = fitting_config(*wl, variant, cores);
-          const auto kernel = wl->instantiate(variant, cfg);
+        SCOPED_TRACE(name + "/" + workload::variant_name(variant) +
+                     " cores=" + std::to_string(cores));
+        const auto cfg = fitting_config(*wl, variant, cores);
+        const auto kernel = wl->instantiate(variant, cfg);
 
-          SimParams flat;
-          flat.skip_ahead = skip_ahead;
-          SimParams neutral = neutral_dram_params();
-          neutral.skip_ahead = skip_ahead;
-
-          SimRun without = run_kernel_with(kernel, flat);
-          SimRun with = run_kernel_with(kernel, neutral);
-          EXPECT_EQ(without.result.cycles, with.result.cycles);
-          EXPECT_EQ(without.result.exit_code, with.result.exit_code);
-          const bool rows = with.cluster->counters().dram_row_hits == 0 &&
-                            with.cluster->counters().dram_row_misses == 0;
-          expect_counters_equal(without.cluster->counters(), with.cluster->counters(),
+        SimRun without = run_kernel_with(kernel, SimParams{});
+        SimRun with = run_kernel_with(kernel, neutral_dram_params());
+        EXPECT_EQ(without.result.cycles, with.result.cycles);
+        EXPECT_EQ(without.result.exit_code, with.result.exit_code);
+        const bool rows = with.cluster->counters().dram_row_hits == 0 &&
+                          with.cluster->counters().dram_row_misses == 0;
+        expect_counters_equal(without.cluster->counters(), with.cluster->counters(),
+                              /*compare_dram_rows=*/rows);
+        for (unsigned h = 0; h < cores; ++h) {
+          expect_identities(with.cluster->complex(h).counters());
+          expect_counters_equal(without.cluster->complex(h).counters(),
+                                with.cluster->complex(h).counters(),
                                 /*compare_dram_rows=*/rows);
-          for (unsigned h = 0; h < cores; ++h) {
-            expect_identities(with.cluster->complex(h).counters());
-            expect_counters_equal(without.cluster->complex(h).counters(),
-                                  with.cluster->complex(h).counters(),
-                                  /*compare_dram_rows=*/rows);
-          }
-          EXPECT_EQ(model.evaluate(without.cluster->counters()).total_pj,
-                    model.evaluate(with.cluster->counters()).total_pj);
-          EXPECT_NO_THROW(kernels::verify_outputs(*with.cluster, kernel));
         }
+        EXPECT_EQ(model.evaluate(without.cluster->counters()).total_pj,
+                  model.evaluate(with.cluster->counters()).total_pj);
+        EXPECT_NO_THROW(kernels::verify_outputs(*with.cluster, kernel));
       }
     }
   }
 }
 
-// With *real* (non-neutral) DRAM timing the schedule legitimately changes —
-// but it must not depend on the clock mode. The DMA-active workloads (exp
-// and log stage through the DRAM window even untiled) pin the dmwait/DRAM
-// skip-ahead path: skip on == skip off in every column.
-TEST(DramDifferential, SkipAheadBitExactUnderRealDramTiming) {
+// With *real* (non-neutral) DRAM timing the schedule legitimately changes,
+// but every cycle must still be attributed exactly once on every hart and
+// the outputs must still verify. exp and log stage through the DRAM window
+// even untiled, so their runs pay real row latencies.
+TEST(DramDifferential, RealDramTimingKeepsIdentitiesAndOutputs) {
   for (const auto name : {"exp", "log"}) {
     const auto wl = workload::WorkloadRegistry::instance().at(name);
     for (const Variant variant : {Variant::kBaseline, Variant::kCopift}) {
       for (const std::uint32_t cores : {1u, 4u}) {
         SCOPED_TRACE(std::string(name) + "/" + workload::variant_name(variant) +
                      " cores=" + std::to_string(cores));
-        const auto cfg = fitting_config(*wl, variant, cores);
-        const auto kernel = wl->instantiate(variant, cfg);
-        SimParams slow_params;
-        slow_params.dram_enabled = true;
-        slow_params.skip_ahead = false;
-        SimParams fast_params = slow_params;
-        fast_params.skip_ahead = true;
-        SimRun slow = run_kernel_with(kernel, slow_params);
-        SimRun fast = run_kernel_with(kernel, fast_params);
-        EXPECT_EQ(slow.result.cycles, fast.result.cycles);
-        EXPECT_EQ(slow.cluster->skip_jumps(), 0u);
-        expect_counters_equal(slow.cluster->counters(), fast.cluster->counters(),
-                              /*compare_dram_rows=*/true);
+        const auto kernel = wl->instantiate(variant, fitting_config(*wl, variant, cores));
+        SimParams params;
+        params.dram_enabled = true;
+        SimRun run = run_kernel_with(kernel, params);
+        EXPECT_GT(run.cluster->counters().dram_row_misses, 0u);
         for (unsigned h = 0; h < cores; ++h) {
-          expect_identities(fast.cluster->complex(h).counters());
-          expect_counters_equal(slow.cluster->complex(h).counters(),
-                                fast.cluster->complex(h).counters(),
-                                /*compare_dram_rows=*/true);
+          expect_identities(run.cluster->complex(h).counters());
         }
-        EXPECT_NO_THROW(kernels::verify_outputs(*fast.cluster, kernel));
+        EXPECT_NO_THROW(kernels::verify_outputs(*run.cluster, kernel));
       }
     }
   }
 }
 
-// --- randomized property test: closed-form scheduler vs naive reference -----
+// --- DramModel row buffer ------------------------------------------------------
 
-// The reference transcribes the documented semantics with no scheduling
-// cleverness: walk the clock forward one cycle at a time until the request
-// can issue (its channel is free and fewer than max_inflight previously
-// issued requests are still incomplete), then pay the row latency and
-// stream the bytes. DramModel::access computes the same schedule in closed
-// form with a min-heap; the two must agree on every start/done/row_hit.
-struct NaiveDram {
-  explicit NaiveDram(const mem::DramTiming& t)
-      : timing(t), open_row(t.channels, kNoRow), busy_until(t.channels, 0) {}
-
-  struct Result {
-    std::uint64_t start = 0;
-    std::uint64_t done = 0;
-    bool row_hit = false;
+// The exact hit/miss/latency sequence of touch_row: rows interleave across
+// channels at row granularity, each channel keeps its own open row, and a
+// different row on the same channel closes the previous one.
+TEST(DramModelRows, TouchRowHitMissLatencySequence) {
+  mem::DramModel dram({.t_row_hit = 3, .t_row_miss = 17, .row_bytes = 1024,
+                       .bytes_per_cycle = 16, .channels = 2});
+  const struct {
+    std::uint32_t addr;
+    unsigned latency;
+  } kSteps[] = {
+      {0x0000, 17},  // row 0, channel 0: cold miss
+      {0x0100, 3},   // row 0 again: hit
+      {0x03FF, 3},   // last byte of row 0: hit
+      {0x0400, 17},  // row 1, channel 1: cold miss
+      {0x0000, 3},   // channel 0 still holds row 0
+      {0x0800, 17},  // row 2, channel 0: conflict, closes row 0
+      {0x0000, 17},  // row 0 must reopen
+      {0x0500, 3},   // channel 1 still holds row 1
   };
-
-  Result request(std::uint64_t now, std::uint32_t addr, std::uint32_t bytes) {
-    const unsigned c = static_cast<unsigned>((addr / timing.row_bytes) % timing.channels);
-    std::uint64_t t = now;
-    for (;;) {
-      unsigned outstanding = 0;
-      for (const std::uint64_t done : issued_done) {
-        if (done > t) ++outstanding;
-      }
-      if (outstanding < timing.max_inflight && t >= busy_until[c]) break;
-      ++t;
-    }
-    Result r;
-    r.start = t;
-    const std::uint64_t row = addr / timing.row_bytes;
-    r.row_hit = open_row[c] == row;
-    open_row[c] = row;
-    if (r.row_hit) ++hits; else ++misses;
-    const unsigned latency = r.row_hit ? timing.t_row_hit : timing.t_row_miss;
-    const std::uint64_t beats =
-        (static_cast<std::uint64_t>(bytes) + timing.bytes_per_cycle - 1) /
-        timing.bytes_per_cycle;
-    r.done = r.start + latency + beats;
-    busy_until[c] = r.done;
-    issued_done.push_back(r.done);
-    return r;
+  for (std::size_t i = 0; i < std::size(kSteps); ++i) {
+    EXPECT_EQ(dram.touch_row(kSteps[i].addr), kSteps[i].latency) << "step " << i;
   }
-
-  static constexpr std::uint64_t kNoRow = ~std::uint64_t{0};
-  mem::DramTiming timing;
-  std::vector<std::uint64_t> open_row;
-  std::vector<std::uint64_t> busy_until;
-  std::vector<std::uint64_t> issued_done;
-  std::uint64_t hits = 0;
-  std::uint64_t misses = 0;
-};
-
-TEST(DramModelProperty, ClosedFormMatchesNaiveReferenceOnRandomStreams) {
-  std::mt19937 rng(0xC0F1F7u);
-  const std::vector<mem::DramTiming> configs = {
-      {},                                                        // defaults
-      {.t_row_hit = 1, .t_row_miss = 9, .row_bytes = 512,
-       .bytes_per_cycle = 16, .channels = 1, .max_inflight = 1},
-      {.t_row_hit = 2, .t_row_miss = 40, .row_bytes = 4096,
-       .bytes_per_cycle = 64, .channels = 4, .max_inflight = 2},
-      {.t_row_hit = 0, .t_row_miss = 0, .row_bytes = 1024,
-       .bytes_per_cycle = 8, .channels = 2, .max_inflight = 16},
-  };
-  for (std::size_t ci = 0; ci < configs.size(); ++ci) {
-    const auto& timing = configs[ci];
-    for (unsigned trial = 0; trial < 8; ++trial) {
-      SCOPED_TRACE("config " + std::to_string(ci) + " trial " + std::to_string(trial));
-      mem::DramModel model(timing);
-      NaiveDram naive(timing);
-      // Mix of access shapes: dense sequential runs (row-hit friendly),
-      // random scatter (row-miss heavy) and strided walks, at randomized
-      // nondecreasing arrival times (including same-cycle batches).
-      std::uint64_t now = 0;
-      std::uint32_t seq_addr = rng() % (1u << 20);
-      for (unsigned req = 0; req < 200; ++req) {
-        now += rng() % 3 == 0 ? 0 : rng() % 50;
-        std::uint32_t addr;
-        switch (rng() % 3) {
-          case 0: addr = seq_addr; seq_addr += 256; break;
-          case 1: addr = rng() % (1u << 20); break;
-          default: addr = (req % 16) * timing.row_bytes + (rng() % timing.row_bytes); break;
-        }
-        const std::uint32_t bytes = 1 + rng() % 4096;
-        const auto fast = model.access(now, addr, bytes);
-        const auto ref = naive.request(now, addr, bytes);
-        ASSERT_EQ(ref.start, fast.start) << "request " << req;
-        ASSERT_EQ(ref.done, fast.done) << "request " << req;
-        ASSERT_EQ(ref.row_hit, fast.row_hit) << "request " << req;
-      }
-      EXPECT_EQ(naive.hits, model.row_hits());
-      EXPECT_EQ(naive.misses, model.row_misses());
-    }
-  }
+  EXPECT_EQ(dram.row_hits(), 4u);
+  EXPECT_EQ(dram.row_misses(), 4u);
 }
 
-// --- dmwait skip-ahead wakeup -----------------------------------------------
+// --- dmwait stall-cause split ------------------------------------------------
 
-// A dmwait on a DRAM-window transfer is a provable sleep whose lower bound
-// the probe learns from the DMA drain estimate: the fast loop must jump,
-// land on the exact wake cycle, and attribute the wait to the DRAM cause.
-TEST(DramSkipAhead, DmwaitOnDramTransferJumpsExactly) {
+// A dmwait on a DRAM-window transfer attributes the whole wait to the DRAM
+// cause, never to the plain DMA cause.
+TEST(DramDmwait, DramTransferWaitsOnDramCause) {
   const std::string source = R"(
 .data
 buf:  .space 4096
@@ -329,31 +237,28 @@ din:  .space 4096
   dmwait
   ecall
 )";
-  SimParams slow_params;
-  slow_params.dram_enabled = true;
-  slow_params.skip_ahead = false;
-  SimParams fast_params = slow_params;
-  fast_params.skip_ahead = true;
-  SimRun slow = run_source(source, slow_params);
-  SimRun fast = run_source(source, fast_params);
-  EXPECT_EQ(fast.result.cycles, slow.result.cycles);
-  expect_counters_equal(slow.cluster->counters(), fast.cluster->counters(),
-                        /*compare_dram_rows=*/true);
-  expect_identities(fast.cluster->counters());
-  EXPECT_GT(fast.cluster->skip_jumps(), 0u);
-  EXPECT_GT(fast.cluster->counters().stall_dma_dram, 0u);
-  EXPECT_EQ(fast.cluster->counters().stall_dma_wait, 0u);
-  EXPECT_EQ(fast.cluster->dma().bytes_moved(), 4096u);
-  // 4 KiB streamed DRAM -> TCDM in 256-byte bursts over two 2 KiB rows: one
-  // miss opens each row, the remaining bursts of the row hit.
-  EXPECT_GT(fast.cluster->counters().dram_row_hits, 0u);
-  EXPECT_GT(fast.cluster->counters().dram_row_misses, 0u);
+  SimParams params;
+  params.dram_enabled = true;
+  SimRun run = run_source(source, params);
+  expect_identities(run.cluster->counters());
+  EXPECT_GT(run.cluster->counters().stall_dma_dram, 0u);
+  EXPECT_EQ(run.cluster->counters().stall_dma_wait, 0u);
+  EXPECT_EQ(run.cluster->dma().bytes_moved(), 4096u);
+  // 4 KiB streamed DRAM -> TCDM in 256-byte bursts over two 2 KiB rows (one
+  // per channel): one miss opens each row and the other 7 bursts of the row
+  // hit. Each burst pays its row latency before streaming at the DRAM's
+  // bandwidth, so the engine is busy for exactly that sum.
+  const ActivityCounters& c = run.cluster->counters();
+  EXPECT_EQ(c.dram_row_hits, 14u);
+  EXPECT_EQ(c.dram_row_misses, 2u);
+  EXPECT_EQ(c.dma_busy_cycles, 2u * params.dram_t_row_miss + 14u * params.dram_t_row_hit +
+                                   4096u / params.dram_bytes_per_cycle);
 }
 
 // The same wait on a TCDM-local copy attributes to the plain DMA cause even
 // with the DRAM level attached — the taxonomy split is by traffic, not by
 // whether the model is present.
-TEST(DramSkipAhead, DmwaitOnTcdmTransferStaysLocalCause) {
+TEST(DramDmwait, TcdmTransferStaysLocalCause) {
   const std::string source = R"(
 .data
 src: .space 2048

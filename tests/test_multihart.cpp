@@ -8,6 +8,7 @@
 #include <cstdint>
 #include <memory>
 #include <string>
+#include <utility>
 
 #include "common/error.hpp"
 #include "kernels/kernels.hpp"
@@ -194,14 +195,46 @@ TEST(MultiHartKernels, ValidationRejectsUnsplittableConfigs) {
   expect_config_error("exp", Variant::kCopift, cfg, "per-hart chunk 240");
   cfg = test_config(4);
   cfg.n = 768;
-  cfg.block = 96;  // chunk 192 = 2 blocks is fine; 4 cores * 96 * 2 == 768
+  cfg.block = 96;  // chunk 192 = 2 blocks per hart: exp's pipeline needs 3
+  expect_config_error("exp", Variant::kCopift, cfg, "fewer than 3 blocks per hart");
+  cfg.n = 1152;  // chunk 288 = 3 blocks per hart
   EXPECT_NO_THROW((void)workload::generate("exp", Variant::kCopift, cfg));
-  cfg.n = 384;  // chunk 96 = 1 block per hart: pipeline needs a prologue
-  expect_config_error("exp", Variant::kCopift, cfg, "fewer than 2 blocks per hart");
+  cfg.n = 384;  // chunk 96 = 1 block per hart
+  expect_config_error("exp", Variant::kCopift, cfg, "fewer than 3 blocks per hart");
   // Baseline only needs the per-hart chunk to respect the unroll factor.
   cfg = test_config(8);
   cfg.n = 1928;  // 241 per hart, not a multiple of 8... and 1928/8=241
   expect_config_error("pi_lcg", Variant::kBaseline, cfg, "per-hart chunk 241");
+}
+
+// exp's COPIFT pipeline enters its steady loop with nb-2 iterations, so two
+// blocks per hart would wrap the loop counter and run off the end of TCDM:
+// every such split is a ConfigError, and a three-block neighbour verifies.
+TEST(MultiHartKernels, ExpCopiftNeedsThreeBlocksPerHart) {
+  const struct {
+    std::uint32_t cores, n, block;
+  } kTwoBlockPoints[] = {
+      {1, 32, 16},  {1, 64, 32},  {1, 128, 64}, {1, 256, 128},
+      {2, 32, 8},   {2, 64, 16},  {2, 128, 32}, {2, 256, 64},  {2, 512, 128},
+      {4, 32, 4},   {4, 64, 8},   {4, 128, 16}, {4, 256, 32},  {4, 512, 64},
+  };
+  for (const auto& p : kTwoBlockPoints) {
+    SCOPED_TRACE("cores=" + std::to_string(p.cores) + " n=" + std::to_string(p.n) +
+                 " block=" + std::to_string(p.block));
+    WorkloadConfig cfg = test_config(p.cores);
+    cfg.n = p.n;
+    cfg.block = p.block;
+    EXPECT_THROW((void)workload::generate("exp", Variant::kCopift, cfg), workload::ConfigError);
+  }
+  for (const auto& [cores, block] : {std::pair{1u, 32u}, std::pair{4u, 8u}}) {
+    SCOPED_TRACE("3-block neighbour at cores=" + std::to_string(cores));
+    WorkloadConfig cfg = test_config(cores);
+    cfg.n = 96;
+    cfg.block = block;
+    sim::SimParams params;
+    params.num_cores = cores;
+    EXPECT_TRUE(run_kernel(workload::generate("exp", Variant::kCopift, cfg), params).verified);
+  }
 }
 
 // HartSlice itself: the emitters are no-ops single-core and emit the

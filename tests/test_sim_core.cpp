@@ -1,5 +1,8 @@
 #include <gtest/gtest.h>
 
+#include <cstdio>
+#include <string>
+
 #include "common/bits.hpp"
 #include "common/error.hpp"
 #include "common/layout.hpp"
@@ -242,6 +245,33 @@ wait:
 TEST(SimCore, EbreakThrows) {
   Cluster cluster(rvasm::assemble("ebreak\n"));
   EXPECT_THROW(cluster.run(), SimError);
+}
+
+// A fault inside the cycle loop says where it happened: the original
+// message (one "sim error:" prefix), then the faulting cycle and every
+// hart's PC with its nearest label.
+TEST(SimCore, FaultNamesCycleHartPcAndLabel) {
+  Cluster cluster(rvasm::assemble(R"(
+start:
+  li a0, 0x100
+  lw a1, 0(a0)      # 0x100 lies below TCDM: unmapped
+  ecall
+)"));
+  try {
+    cluster.run();
+    FAIL() << "expected a SimError";
+  } catch (const SimError& e) {
+    const std::string msg = e.what();
+    char where[64];
+    std::snprintf(where, sizeof(where), "; hart 0 pc 0x%08x <start+0x4>)",
+                  cluster.program().symbol("start") + 4);
+    EXPECT_EQ(msg.rfind("sim error: unmapped memory access at 0x100 size 4 (cycle " +
+                            std::to_string(cluster.cycles()) + where,
+                        0),
+              0u)
+        << msg;
+    EXPECT_EQ(msg.find("sim error:", 1), std::string::npos) << msg;
+  }
 }
 
 TEST(SimCore, MaxCyclesGuard) {

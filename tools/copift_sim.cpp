@@ -113,10 +113,8 @@ void print_usage(std::FILE* out) {
                "\n"
                "misc:\n"
                "  --profile              print host-side timing after a single run:\n"
-               "                         assemble+decode time, simulation time, simulated\n"
-               "                         cycles per host second, and skip-ahead statistics\n"
-               "  --no-skip-ahead        force per-cycle execution (disable the\n"
-               "                         event-driven clock jump; results are identical)\n"
+               "                         assemble+decode time, simulation time and simulated\n"
+               "                         cycles per host second\n"
                "  --max-cycles N         abort the simulation after N cycles\n"
                "  --help, -h             this message\n"
                "  --version              print the version and exit\n"
@@ -348,7 +346,6 @@ int main(int argc, char** argv) {
   bool json = false;
   bool verify = true;
   bool profile = false;
-  bool skip_ahead = true;
   std::uint64_t max_cycles = 0;
   // -1 = flag absent, use the workload's default (0 is a legal user value
   // that validate() will reject with a config-specific message).
@@ -385,7 +382,6 @@ int main(int argc, char** argv) {
     }
     else if (arg == "--report") report = true;
     else if (arg == "--profile") profile = true;
-    else if (arg == "--no-skip-ahead") skip_ahead = false;
     else if (arg == "--trace-json") trace_json = value_of(arg);
     else if (arg.rfind("--trace-json=", 0) == 0) trace_json = arg.substr(13);
     else if (arg == "--list") return list_workloads();
@@ -463,7 +459,6 @@ int main(int argc, char** argv) {
     sim::SimParams params;
     if (max_cycles > 0) params.max_cycles = max_cycles;
     if (cores >= 0) params.num_cores = static_cast<unsigned>(cores);
-    params.skip_ahead = skip_ahead;
     params.dram_enabled = dram;
 
     std::shared_ptr<const workload::Workload> wl;
@@ -613,15 +608,6 @@ int main(int argc, char** argv) {
       std::printf("input setup:      %.3f ms\n", ms(t2 - t1));
       std::printf("simulation:       %.3f ms\n", ms(t3 - t2));
       std::printf("host throughput:  %.0f simulated cycles/s\n", cps);
-      std::printf("skip-ahead:       %s, %llu jumps covering %llu of %llu cycles (%.1f%%)\n",
-                  skip_ahead ? "on" : "off",
-                  static_cast<unsigned long long>(cluster.skip_jumps()),
-                  static_cast<unsigned long long>(cluster.skipped_cycles()),
-                  static_cast<unsigned long long>(result.cycles),
-                  result.cycles > 0
-                      ? 100.0 * static_cast<double>(cluster.skipped_cycles()) /
-                            static_cast<double>(result.cycles)
-                      : 0.0);
     }
     if (have_kernel && verify) {
       kernels::verify_outputs(cluster, generated);
