@@ -12,8 +12,14 @@ namespace copift::isa {
 
 namespace {
 
-void require(bool ok, const std::string& message) {
+void require(bool ok, const char* message) {
   if (!ok) throw EncodingError(message);
+}
+
+/// `require` for a check whose message names the instruction ("addi: imm12
+/// out of range"); the message is only built when the check fails.
+void require(bool ok, std::string_view name, const char* what) {
+  if (!ok) throw EncodingError(std::string(name) + ": " + what);
 }
 
 constexpr std::uint32_t rd_field(std::uint32_t r) { return place(r, 7, 5); }
@@ -94,17 +100,17 @@ std::uint32_t encode(const Instr& instr) {
       break;
     case Format::kI:
     case Format::kILoad:
-      require(fits_signed(instr.imm, 12), std::string(m.name) + ": imm12 out of range");
+      require(fits_signed(instr.imm, 12), m.name, "imm12 out of range");
       w |= rd_field(instr.rd) | rs1_field(instr.rs1) |
            place(static_cast<std::uint32_t>(instr.imm), 20, 12);
       break;
     case Format::kIShift:
-      require(fits_unsigned(instr.imm, 5), std::string(m.name) + ": shamt out of range");
+      require(fits_unsigned(instr.imm, 5), m.name, "shamt out of range");
       w |= rd_field(instr.rd) | rs1_field(instr.rs1) |
            place(static_cast<std::uint32_t>(instr.imm), 20, 5);
       break;
     case Format::kS: {
-      require(fits_signed(instr.imm, 12), std::string(m.name) + ": imm12 out of range");
+      require(fits_signed(instr.imm, 12), m.name, "imm12 out of range");
       const auto u = static_cast<std::uint32_t>(instr.imm);
       w |= rs1_field(instr.rs1) | rs2_field(instr.rs2) | place(bits(u, 5, 7), 25, 7) |
            place(bits(u, 0, 5), 7, 5);
@@ -115,7 +121,7 @@ std::uint32_t encode(const Instr& instr) {
       break;
     case Format::kU:
       require(fits_unsigned(instr.imm, 20) || fits_signed(instr.imm, 20),
-              std::string(m.name) + ": imm20 out of range");
+              m.name, "imm20 out of range");
       w |= rd_field(instr.rd) | place(static_cast<std::uint32_t>(instr.imm), 12, 20);
       break;
     case Format::kJ:
@@ -144,11 +150,11 @@ std::uint32_t encode(const Instr& instr) {
       w |= rd_field(instr.rd) | rs1_field(instr.rs1);
       break;
     case Format::kRs1Imm:
-      require(fits_unsigned(instr.imm, 12), std::string(m.name) + ": imm12 out of range");
+      require(fits_unsigned(instr.imm, 12), m.name, "imm12 out of range");
       w |= rs1_field(instr.rs1) | place(static_cast<std::uint32_t>(instr.imm), 20, 12);
       break;
     case Format::kRdImm:
-      require(fits_unsigned(instr.imm, 12), std::string(m.name) + ": imm12 out of range");
+      require(fits_unsigned(instr.imm, 12), m.name, "imm12 out of range");
       w |= rd_field(instr.rd) | place(static_cast<std::uint32_t>(instr.imm), 20, 12);
       break;
   }

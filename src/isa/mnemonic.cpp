@@ -2,6 +2,8 @@
 
 #include <array>
 
+#include "common/string_table.hpp"
+
 namespace copift::isa {
 
 namespace {
@@ -293,9 +295,14 @@ const InstrInfo& info(Mnemonic m) noexcept {
 }
 
 std::optional<Mnemonic> mnemonic_by_name(std::string_view nm) {
-  for (std::size_t i = 0; i < kNumMnemonics; ++i) {
-    if (kTable[i].name == nm) return static_cast<Mnemonic>(i);
-  }
+  static const StringTable<Mnemonic> by_name = [] {
+    StringTable<Mnemonic> t;
+    for (std::size_t i = 0; i < kNumMnemonics; ++i) {
+      t.insert(kTable[i].name, static_cast<Mnemonic>(i));
+    }
+    return t;
+  }();
+  if (const Mnemonic* m = by_name.find(nm)) return *m;
   return std::nullopt;
 }
 

@@ -27,6 +27,34 @@ std::optional<unsigned> parse_numeric(std::string_view token, char prefix) {
   return value;
 }
 
+/// The number in an ABI name's suffix ("11" of "s11"): one or two decimal
+/// digits without a leading zero; 99 (matching no register) otherwise.
+unsigned abi_number(std::string_view digits) {
+  const auto digit = [](char c) { return c >= '0' && c <= '9'; };
+  if (digits.size() == 1 && digit(digits[0])) return static_cast<unsigned>(digits[0] - '0');
+  if (digits.size() == 2 && digits[0] != '0' && digit(digits[0]) && digit(digits[1])) {
+    return static_cast<unsigned>((digits[0] - '0') * 10 + (digits[1] - '0'));
+  }
+  return 99;
+}
+
+// The ABI numbering shared by both register files: t0-t2/t3-t6 (ft0-ft7/
+// ft8-ft11 in the FP file), s0-s1/s2-s11 and a0-a7.
+std::optional<unsigned> temporary(unsigned n, unsigned low_count, unsigned low_base) {
+  if (n < low_count) return low_base + n;
+  if (n < low_count + 4) return 28 + (n - low_count);
+  return std::nullopt;
+}
+std::optional<unsigned> saved(unsigned n) {
+  if (n < 2) return 8 + n;
+  if (n < 12) return 16 + n;
+  return std::nullopt;
+}
+std::optional<unsigned> argument(unsigned n) {
+  if (n < 8) return 10 + n;
+  return std::nullopt;
+}
+
 }  // namespace
 
 std::string int_reg_name(unsigned index) {
@@ -38,22 +66,32 @@ std::string fp_reg_name(unsigned index) {
 }
 
 std::optional<unsigned> parse_int_reg(std::string_view token) {
-  if (auto n = parse_numeric(token, 'x')) return n;
-  if (token == "fp") return 8;  // alias for s0
-  for (unsigned i = 0; i < kNumIntRegs; ++i) {
-    if (token == kIntAbiNames[i]) return i;
+  if (token.size() < 2) return std::nullopt;
+  const unsigned n = abi_number(token.substr(1));
+  switch (token[0]) {
+    case 'x': return parse_numeric(token, 'x');
+    case 'z': if (token == "zero") return 0; break;
+    case 'r': if (token == "ra") return 1; break;
+    case 'g': if (token == "gp") return 3; break;
+    case 'f': if (token == "fp") return 8; break;  // alias for s0
+    case 's': return token == "sp" ? std::optional<unsigned>(2) : saved(n);
+    case 't': return token == "tp" ? std::optional<unsigned>(4) : temporary(n, 3, 5);
+    case 'a': return argument(n);
+    default: break;
   }
   return std::nullopt;
 }
 
 std::optional<unsigned> parse_fp_reg(std::string_view token) {
-  if (token.size() >= 2 && token[0] == 'f' && token[1] >= '0' && token[1] <= '9') {
-    if (auto n = parse_numeric(token, 'f')) return n;
+  if (token.size() < 2 || token[0] != 'f') return std::nullopt;
+  if (token[1] >= '0' && token[1] <= '9') return parse_numeric(token, 'f');
+  const unsigned n = abi_number(token.substr(2));
+  switch (token[1]) {
+    case 't': return temporary(n, 8, 0);
+    case 's': return saved(n);
+    case 'a': return argument(n);
+    default: return std::nullopt;
   }
-  for (unsigned i = 0; i < kNumFpRegs; ++i) {
-    if (token == kFpAbiNames[i]) return i;
-  }
-  return std::nullopt;
 }
 
 }  // namespace copift::isa

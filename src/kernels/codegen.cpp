@@ -1,15 +1,17 @@
 #include "kernels/codegen.hpp"
 
-#include <iomanip>
+#include <algorithm>
 
 #include "common/bits.hpp"
 
 namespace copift::kernels {
 
 std::string dword_of(std::uint64_t bits) {
-  std::ostringstream os;
-  os << ".dword 0x" << std::hex << std::setw(16) << std::setfill('0') << bits;
-  return os.str();
+  std::string out = ".dword 0x0000000000000000";
+  char hex[16];
+  auto* end = std::to_chars(hex, hex + sizeof(hex), bits, 16).ptr;
+  std::copy(hex, end, out.end() - (end - hex));  // right-aligned in the zero padding
+  return out;
 }
 
 std::string dword_of(double value) { return dword_of(copift::bit_cast<std::uint64_t>(value)); }

@@ -189,6 +189,22 @@ TEST(IsaRegs, ParseAbiAndNumeric) {
   EXPECT_FALSE(parse_fp_reg("a0").has_value());
 }
 
+TEST(IsaRegs, EveryNameRoundTrips) {
+  for (unsigned i = 0; i < kNumIntRegs; ++i) {
+    EXPECT_EQ(parse_int_reg(int_reg_name(i)), i) << int_reg_name(i);
+    EXPECT_EQ(parse_int_reg("x" + std::to_string(i)), i);
+  }
+  for (unsigned i = 0; i < kNumFpRegs; ++i) {
+    EXPECT_EQ(parse_fp_reg(fp_reg_name(i)), i) << fp_reg_name(i);
+    EXPECT_EQ(parse_fp_reg("f" + std::to_string(i)), i);
+  }
+  for (const char* bad : {"", "x", "f", "zer", "zeros", "t7", "s12", "a8", "s01", "a-1", "sp0",
+                          "ft12", "fa8", "fs12", "fs01", "f32", "x32", "ra1", "fp1"}) {
+    EXPECT_FALSE(parse_int_reg(bad).has_value()) << bad;
+    EXPECT_FALSE(parse_fp_reg(bad).has_value()) << bad;
+  }
+}
+
 TEST(IsaDisasm, ReadableOutput) {
   EXPECT_EQ(disassemble({Mnemonic::kAddi, 10, 11, 0, 0, 42}), "addi a0, a1, 42");
   EXPECT_EQ(disassemble({Mnemonic::kFmaddD, 14, 12, 11, 14, 0}),

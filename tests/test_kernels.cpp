@@ -1,7 +1,12 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstdint>
+#include <limits>
+#include <string>
+#include <string_view>
 
+#include "kernels/codegen.hpp"
 #include "kernels/glibc_math.hpp"
 #include "kernels/montecarlo.hpp"
 #include "kernels/prng.hpp"
@@ -11,6 +16,41 @@
 
 namespace copift::kernels {
 namespace {
+
+// cat() takes text, chars and integers wider than a byte; a uint8_t would
+// print as a raw byte through an ostream, so it, bool and doubles are
+// rejected at compile time.
+static_assert(CatPart<std::string> && CatPart<std::string_view> && CatPart<const char*> &&
+              CatPart<char[4]> && CatPart<char>);
+static_assert(CatPart<int> && CatPart<unsigned> && CatPart<std::int16_t> &&
+              CatPart<std::int64_t> && CatPart<std::uint64_t> && CatPart<std::size_t>);
+static_assert(!CatPart<std::uint8_t> && !CatPart<std::int8_t> && !CatPart<bool> &&
+              !CatPart<double> && !CatPart<float>);
+
+TEST(Codegen, CatPrintsTextCharsAndDecimalIntegers) {
+  const std::string reg = "a3";
+  const std::string_view base = "sp";
+  EXPECT_EQ(cat("lw ", reg, ", ", -16, "(", base, ")"), "lw a3, -16(sp)");
+  EXPECT_EQ(cat('x', 31U, ',', std::uint16_t{65535}), "x31,65535");
+  EXPECT_EQ(cat(std::numeric_limits<std::int64_t>::min(), " ",
+                std::numeric_limits<std::uint64_t>::max()),
+            "-9223372036854775808 18446744073709551615");
+  EXPECT_EQ(cat(), "");
+}
+
+TEST(Codegen, DwordOfPrintsSixteenHexDigits) {
+  EXPECT_EQ(dword_of(std::uint64_t{0}), ".dword 0x0000000000000000");
+  EXPECT_EQ(dword_of(std::uint64_t{0xabc}), ".dword 0x0000000000000abc");
+  EXPECT_EQ(dword_of(~std::uint64_t{0}), ".dword 0xffffffffffffffff");
+  EXPECT_EQ(dword_of(1.0), ".dword 0x3ff0000000000000");
+  EXPECT_EQ(dword_of(-0.5), ".dword 0xbfe0000000000000");
+}
+
+TEST(Codegen, AsmBuilderLayout) {
+  AsmBuilder b;
+  b.raw(".text\n").label("_start").c("note").l(cat("li a0, ", 5)).l("ecall");
+  EXPECT_EQ(b.str(), ".text\n_start:\n  # note\n  li a0, 5\n  ecall\n");
+}
 
 TEST(Prng, LcgKnownSequence) {
   Lcg gen(0);

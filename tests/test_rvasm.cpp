@@ -2,10 +2,16 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cinttypes>
+#include <cstdio>
+#include <set>
+
 #include "common/bits.hpp"
 #include "common/error.hpp"
 #include "common/layout.hpp"
 #include "isa/csr.hpp"
+#include "registry_points.hpp"
 
 namespace copift::rvasm {
 namespace {
@@ -302,11 +308,205 @@ TEST(AsmErrors, InstructionInDataSection) {
   EXPECT_THROW(asms(".data\naddi a0, a0, 1\n"), AsmError);
 }
 
+/// The line the AsmError for `src` names; fails the test when `src`
+/// assembles (any other exception escapes and fails it too).
+unsigned error_line(const std::string& src) {
+  try {
+    (void)assemble(src);
+  } catch (const AsmError& e) {
+    return e.line();
+  }
+  ADD_FAILURE() << "assembled without error:\n" << src;
+  return 0;
+}
+
+TEST(AsmErrors, AlignArgumentOutsideZeroTo31) {
+  EXPECT_EQ(error_line(".data\nx: .word 1\n.align 40\n"), 3u);
+  EXPECT_EQ(error_line(".data\nx: .word 1\n.align -1\n"), 3u);
+  EXPECT_EQ(error_line(".data\n.p2align 32\n"), 2u);
+  EXPECT_EQ(error_line(".text\n.align 40\n"), 2u);
+  EXPECT_NO_THROW(asms(".data\n.align 31\n"));  // already aligned: no padding
+}
+
+TEST(AsmErrors, DataPastItsMemoryFailsBeforeGrowing) {
+  // .align 30 would pad 1 GiB into a 128 KiB TCDM.
+  EXPECT_EQ(error_line(".data\nx: .word 1\n.align 30\n"), 3u);
+  EXPECT_EQ(error_line(".section .dram\n.word 1\n.align 26\n"), 3u);
+  EXPECT_EQ(error_line(".data\n.space 131073\n"), 2u);
+  EXPECT_EQ(error_line(".data\n.space 0x7fffffffffffffff\n"), 2u);
+  EXPECT_EQ(error_line(".data\n.space 131072\n.word 0\n"), 3u);
+  EXPECT_EQ(error_line(".data\n.space 131068\n.dword 0\n"), 3u);
+  EXPECT_EQ(error_line(".data\n.space 131068\n.double 1.0\n"), 3u);
+  EXPECT_EQ(error_line(".section .dram\n.space 33554433\n"), 2u);
+  EXPECT_EQ(asms(".data\n.space 131072\n").data.size(), kTcdmSize);  // exactly full is fine
+}
+
+TEST(AsmErrors, NegativeSpace) {
+  EXPECT_EQ(error_line(".data\n.space -1\n"), 2u);
+  EXPECT_EQ(error_line(".data\nx: .word 0\n.zero 2-10\n"), 3u);
+}
+
+TEST(AsmErrors, ExpressionArithmeticWrapsInSixtyFourBits) {
+  // Overflowing sums, products and negations wrap instead of being signed
+  // overflow; values that do not overflow are unchanged.
+  const Program p = asms(
+      "li a0, 0x7fffffffffffffff*4\n"
+      "li a1, 0x7fffffffffffffff+1\n"
+      "li a2, -0x8000000000000000\n"
+      "li a3, 3*-7+100\n");
+  EXPECT_EQ(p.text[0].mnemonic, Mnemonic::kAddi);
+  EXPECT_EQ(p.text[0].imm, -4);  // 0xfff...fc
+  EXPECT_EQ(p.text[1].mnemonic, Mnemonic::kLui);  // low 32 bits are 0: lui 0, no addi
+  EXPECT_EQ(p.text[1].imm, 0);
+  EXPECT_EQ(p.text[2].mnemonic, Mnemonic::kLui);
+  EXPECT_EQ(p.text[3].imm, 79);
+}
+
+TEST(AsmErrors, FloatDirectivesConsumeTheWholeNumber) {
+  EXPECT_EQ(error_line(".data\n.double abc\n"), 2u);
+  EXPECT_EQ(error_line(".data\n.double 1.0q\n"), 2u);
+  EXPECT_EQ(error_line(".data\n.double 1e999\n"), 2u);
+  EXPECT_EQ(error_line(".data\nx: .word 0\n.float 2.5, -1e999\n"), 3u);
+  EXPECT_EQ(error_line(".data\n.double 1.0,\n"), 2u);
+  EXPECT_EQ(error_line(".double 1.0\n"), 1u);  // outside a data section
+  // .float still rounds the parsed double to float.
+  const Program p = asms(".data\n.float 0.1\n");
+  std::uint32_t bits = 0;
+  for (int i = 3; i >= 0; --i) bits = (bits << 8) | p.data[i];
+  EXPECT_EQ(bits, copift::bit_cast<std::uint32_t>(static_cast<float>(0.1)));
+}
+
+TEST(AsmErrors, MalformedNumbers) {
+  EXPECT_EQ(error_line("addi a0, a0, 0x\n"), 1u);
+  EXPECT_EQ(error_line("addi a0, a0, 12ab\n"), 1u);
+  EXPECT_EQ(error_line("li a0, 99999999999999999999\n"), 1u);  // above 2^64
+}
+
 TEST(AsmProgram, TextIndexChecks) {
   const Program p = asms("nop\nnop\n");
   EXPECT_EQ(p.text_index(kTextBase + 4), 1u);
   EXPECT_THROW(p.text_index(kTextBase + 8), Error);
   EXPECT_THROW(p.text_index(kTextBase + 2), Error);
+}
+
+// --- Pinned program images ----------------------------------------------------
+
+/// FNV-1a 64 over a byte stream; integers are fed little-endian.
+class Fnv1a {
+ public:
+  void bytes(const void* data, std::size_t size) {
+    const auto* p = static_cast<const unsigned char*>(data);
+    for (std::size_t i = 0; i < size; ++i) {
+      hash_ ^= p[i];
+      hash_ *= 0x100000001b3ULL;
+    }
+  }
+  void u32(std::uint32_t v) {
+    const unsigned char le[4] = {static_cast<unsigned char>(v), static_cast<unsigned char>(v >> 8),
+                                 static_cast<unsigned char>(v >> 16),
+                                 static_cast<unsigned char>(v >> 24)};
+    bytes(le, sizeof(le));
+  }
+  [[nodiscard]] std::uint64_t value() const { return hash_; }
+
+ private:
+  std::uint64_t hash_ = 0xcbf29ce484222325ULL;
+};
+
+std::uint64_t source_hash(const std::string& source) {
+  Fnv1a h;
+  h.bytes(source.data(), source.size());
+  return h.value();
+}
+
+std::uint64_t image_hash(const Program& p) {
+  Fnv1a h;
+  h.u32(static_cast<std::uint32_t>(p.text_words.size()));
+  for (const auto w : p.text_words) h.u32(w);
+  for (const auto line : p.text_lines) h.u32(line);
+  for (const auto& i : p.text) {
+    h.u32(static_cast<std::uint32_t>(i.mnemonic));
+    const unsigned char regs[4] = {i.rd, i.rs1, i.rs2, i.rs3};
+    h.bytes(regs, sizeof(regs));
+    h.u32(static_cast<std::uint32_t>(i.imm));
+  }
+  h.u32(static_cast<std::uint32_t>(p.data.size()));
+  h.bytes(p.data.data(), p.data.size());
+  h.u32(static_cast<std::uint32_t>(p.dram.size()));
+  h.bytes(p.dram.data(), p.dram.size());
+  for (const auto& [name, value] : p.symbols) {
+    h.bytes(name.data(), name.size() + 1);  // with the terminating NUL
+    h.u32(value);
+  }
+  h.u32(p.entry);
+  return h.value();
+}
+
+struct PinnedImage {
+  std::string_view point;
+  std::uint64_t source;  // FNV-1a 64 of the generated assembly text
+  std::uint64_t image;   // image_hash of the assembled Program
+};
+
+// Captured before codegen moved off std::ostringstream and the assembler off
+// shared_ptr expression trees. A changed hash changes what simulations run:
+// update a row only when a program is meant to change.
+constexpr PinnedImage kPinnedImages[] = {
+    {"axpy/copift n=64 block=32 cores=1 tile=0", 0x5ffbd91fd224df87ULL, 0x1f359eef8310460aULL},
+    {"axpy/copift n=64 block=32 cores=4 tile=0", 0x88a3aaf8eaa88929ULL, 0xc66451ed40f54885ULL},
+    {"axpy/copift n=65536 block=32 cores=2 tile=1024", 0x3e86b086133f1425ULL, 0x1ffdcf3f8fab05b5ULL},
+    {"axpy/baseline n=64 block=32 cores=1 tile=0", 0xbd92ffc23f1fe3a9ULL, 0x6d9d1cb6e73bad4dULL},
+    {"axpy/baseline n=64 block=32 cores=4 tile=0", 0x23b3d9e0dabfdc3cULL, 0x2b25adb6be9dffe4ULL},
+    {"axpy/baseline n=65536 block=32 cores=2 tile=1024", 0xeefe1a14e16c9f29ULL, 0xc1ec86b195a2ea38ULL},
+    {"exp/copift n=64 block=16 cores=1 tile=0", 0xe838eddd42338e08ULL, 0x7a44cd5df85401e4ULL},
+    {"exp/copift n=64 block=4 cores=4 tile=0", 0xb53904fe15ca591cULL, 0x754e0741141651b5ULL},
+    {"exp/copift n=65536 block=64 cores=2 tile=1024", 0xf76d14e173166b48ULL, 0x0124ec3f7be3e818ULL},
+    {"exp/baseline n=64 block=96 cores=1 tile=0", 0x1608eb2bc5eec537ULL, 0xf673fa551ae1353cULL},
+    {"exp/baseline n=64 block=96 cores=4 tile=0", 0x0253db8c63d339c4ULL, 0xbbbcf23404f2d7e5ULL},
+    {"exp/baseline n=65536 block=96 cores=2 tile=1024", 0xcbb66c4edff7a1cbULL, 0x270314ff5c7be541ULL},
+    {"log/copift n=64 block=16 cores=1 tile=0", 0xae2f054548a247b4ULL, 0x35e4cf87004de81cULL},
+    {"log/copift n=64 block=4 cores=4 tile=0", 0x61f5050fc831082eULL, 0x16e38499180a47d7ULL},
+    {"log/baseline n=64 block=96 cores=1 tile=0", 0x77b581481a04185eULL, 0x83d8ff5631650e61ULL},
+    {"log/baseline n=64 block=96 cores=4 tile=0", 0x989bc35219910f3bULL, 0x3c02bda732ecdeacULL},
+    {"pi_lcg/copift n=64 block=16 cores=1 tile=0", 0x1b69a53f6631db61ULL, 0x5a580d06cbf1c39aULL},
+    {"pi_lcg/copift n=64 block=8 cores=4 tile=0", 0xd8188accf668f4bcULL, 0x46f10030a8a66944ULL},
+    {"pi_lcg/baseline n=64 block=96 cores=1 tile=0", 0x9ca0eaef1292569dULL, 0x4e841a5f9270f196ULL},
+    {"pi_lcg/baseline n=64 block=96 cores=4 tile=0", 0x66b5649395ff1824ULL, 0xe6a13ed6cca94828ULL},
+    {"pi_xoshiro128p/copift n=64 block=16 cores=1 tile=0", 0xec4149fbb6e61c94ULL, 0xd58e4ba7381ec290ULL},
+    {"pi_xoshiro128p/copift n=64 block=8 cores=4 tile=0", 0x279d8c0a9fa94d55ULL, 0x7ab4ab3aed14c6f2ULL},
+    {"pi_xoshiro128p/baseline n=64 block=96 cores=1 tile=0", 0x2975a1455bf3cc14ULL, 0x89a61f33109b8698ULL},
+    {"pi_xoshiro128p/baseline n=64 block=96 cores=4 tile=0", 0xec332344d9127ed5ULL, 0x0067f07432816f8bULL},
+    {"poly_lcg/copift n=64 block=16 cores=1 tile=0", 0x8d8043837ddca25bULL, 0xb6f5122f7f23e5d8ULL},
+    {"poly_lcg/copift n=64 block=8 cores=4 tile=0", 0x552b4b30699d8f44ULL, 0x37defc29000c20f9ULL},
+    {"poly_lcg/baseline n=64 block=96 cores=1 tile=0", 0x47cef0324bd0098dULL, 0x247e45b0c44e0624ULL},
+    {"poly_lcg/baseline n=64 block=96 cores=4 tile=0", 0xd25dafc6f5b9a954ULL, 0xe80531775d8e7f73ULL},
+    {"poly_xoshiro128p/copift n=64 block=16 cores=1 tile=0", 0x7bb14776469bf32aULL, 0x884000fecd596ac8ULL},
+    {"poly_xoshiro128p/copift n=64 block=8 cores=4 tile=0", 0xb76fa7bc082c6cb9ULL, 0x0ad761aad2f6226dULL},
+    {"poly_xoshiro128p/baseline n=64 block=96 cores=1 tile=0", 0x7d02c88fc3db38f8ULL, 0x288ce3cdf7af398eULL},
+    {"poly_xoshiro128p/baseline n=64 block=96 cores=4 tile=0", 0x142852ee0d8e3dbdULL, 0x6284d2829377bb38ULL},
+    {"softmax/baseline n=64 block=32 cores=1 tile=0", 0x907df87a752ee874ULL, 0xb1b707213671708eULL},
+};
+
+TEST(AsmImages, EveryRegistryProgramImageIsPinned) {
+  std::set<std::string_view> matched;
+  for (const auto& point : testing::registry_points()) {
+    const std::string source = point.source();
+    const std::uint64_t src = source_hash(source);
+    const std::uint64_t img = image_hash(assemble(source));
+    char row[160];
+    std::snprintf(row, sizeof(row), "{\"%s\", 0x%016" PRIx64 "ULL, 0x%016" PRIx64 "ULL},",
+                  point.label.c_str(), src, img);
+    const auto* pin = std::find_if(std::begin(kPinnedImages), std::end(kPinnedImages),
+                                   [&](const PinnedImage& p) { return p.point == point.label; });
+    if (pin == std::end(kPinnedImages)) {
+      ADD_FAILURE() << "registry program without a pinned row: " << row;
+      continue;
+    }
+    matched.insert(pin->point);
+    EXPECT_EQ(src, pin->source) << "generated source changed: " << row;
+    EXPECT_EQ(img, pin->image) << "assembled image changed: " << row;
+  }
+  EXPECT_EQ(matched.size(), std::size(kPinnedImages)) << "pinned rows with no registry program";
 }
 
 }  // namespace

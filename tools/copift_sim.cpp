@@ -113,8 +113,9 @@ void print_usage(std::FILE* out) {
                "\n"
                "misc:\n"
                "  --profile              print host-side timing after a single run:\n"
-               "                         assemble+decode time, simulation time and simulated\n"
-               "                         cycles per host second\n"
+               "                         generate, assemble, lint and build+decode times,\n"
+               "                         input setup, simulation time and simulated cycles\n"
+               "                         per host second\n"
                "  --max-cycles N         abort the simulation after N cycles\n"
                "  --help, -h             this message\n"
                "  --version              print the version and exit\n"
@@ -526,11 +527,15 @@ int main(int argc, char** argv) {
       return 0;
     }
 
+    using clock = std::chrono::steady_clock;
     std::string source;
     kernels::GeneratedKernel generated;
     bool have_kernel = false;
+    clock::duration generate_time{};
     if (wl != nullptr) {
+      const auto g0 = clock::now();
       generated = wl->instantiate(run_variants.front(), cfg);
+      generate_time = clock::now() - g0;
       source = generated.source;
       have_kernel = true;
       params.num_cores = cfg.cores;  // topology follows the workload config
@@ -548,9 +553,9 @@ int main(int argc, char** argv) {
       source = ss.str();
     }
 
-    using clock = std::chrono::steady_clock;
     const auto t0 = clock::now();
     rvasm::Program program = rvasm::assemble(source);
+    const auto t_assembled = clock::now();
     const std::string lint_what = have_kernel ? generated.name() : file;
     if (lint_json) {
       // Lint-only mode: machine-readable report, no simulation.
@@ -575,6 +580,7 @@ int main(int argc, char** argv) {
                     params.num_cores, params.num_cores == 1 ? "" : "s");
       }
     }
+    const auto t_linted = clock::now();
     sim::Cluster cluster(std::move(program), params);
     const auto t1 = clock::now();
     cluster.set_tracing(trace || report || !trace_json.empty());
@@ -604,7 +610,18 @@ int main(int argc, char** argv) {
                              ? static_cast<double>(result.cycles) / sim_seconds
                              : 0.0;
       std::printf("\n--- host profile ---\n");
-      std::printf("assemble+decode:  %.3f ms\n", ms(t1 - t0));
+      if (have_kernel) {
+        std::printf("generate:         %.3f ms\n", ms(generate_time));
+      } else {
+        std::printf("generate:         -  (assembly file)\n");
+      }
+      std::printf("assemble:         %.3f ms\n", ms(t_assembled - t0));
+      if (lint::pipeline_mode() != lint::Mode::kOff) {
+        std::printf("lint:             %.3f ms\n", ms(t_linted - t_assembled));
+      } else {
+        std::printf("lint:             -  (off)\n");
+      }
+      std::printf("build+decode:     %.3f ms\n", ms(t1 - t_linted));
       std::printf("input setup:      %.3f ms\n", ms(t2 - t1));
       std::printf("simulation:       %.3f ms\n", ms(t3 - t2));
       std::printf("host throughput:  %.0f simulated cycles/s\n", cps);
