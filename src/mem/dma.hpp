@@ -15,8 +15,8 @@
 #pragma once
 
 #include <cstdint>
-#include <deque>
 
+#include "common/ring.hpp"
 #include "mem/address_space.hpp"
 #include "mem/dram.hpp"
 
@@ -82,7 +82,7 @@ class DmaEngine {
   std::uint32_t dst_ = 0;
   std::uint32_t next_id_ = 0;
   std::uint32_t dram_pending_ = 0;
-  std::deque<Transfer> queue_;
+  RingFifo<Transfer> queue_;
   std::uint64_t busy_cycles_ = 0;
   std::uint64_t bytes_moved_ = 0;
 };

@@ -19,8 +19,10 @@ void L0ICache::install(std::uint32_t line) {
   fifo_head_ = (fifo_head_ + 1) % num_lines_;
 }
 
-unsigned L0ICache::fetch(std::uint32_t pc) {
+unsigned L0ICache::lookup(std::uint32_t pc) {
   const std::uint32_t line = line_of(pc);
+  last_span_ = 4 * words_per_line_;
+  last_base_ = line * last_span_;
   if (present(line)) {
     ++stats_.hits;
     last_line_ = line;
@@ -42,6 +44,7 @@ void L0ICache::flush() {
   std::fill(lines_.begin(), lines_.end(), UINT32_MAX);
   fifo_head_ = 0;
   last_line_ = UINT32_MAX;
+  last_span_ = 0;
 }
 
 }  // namespace copift::mem

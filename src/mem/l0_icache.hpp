@@ -35,7 +35,16 @@ class L0ICache {
 
   /// Fetch the instruction at `pc`. Returns the stall penalty in cycles
   /// (0 on hit or prefetched sequential refill).
-  unsigned fetch(std::uint32_t pc);
+  unsigned fetch(std::uint32_t pc) {
+    // Same line as the previous fetch: a hit. That line is resident because
+    // only lookup() evicts, and it leaves last_line_ at the line it just
+    // found or installed. flush() empties the span so nothing matches.
+    if (pc - last_base_ < last_span_) {
+      ++stats_.hits;
+      return 0;
+    }
+    return lookup(pc);
+  }
 
   /// Total capacity in instructions.
   [[nodiscard]] unsigned capacity_instrs() const noexcept {
@@ -52,6 +61,7 @@ class L0ICache {
   }
   [[nodiscard]] bool present(std::uint32_t line) const noexcept;
   void install(std::uint32_t line);
+  unsigned lookup(std::uint32_t pc);
 
   unsigned num_lines_;
   unsigned words_per_line_;
@@ -59,6 +69,10 @@ class L0ICache {
   std::vector<std::uint32_t> lines_;  // FIFO of resident line ids
   unsigned fifo_head_ = 0;
   std::uint32_t last_line_ = UINT32_MAX;
+  // Byte range [last_base_, last_base_ + last_span_) of last_line_; the span
+  // is 0 until the first lookup and after flush().
+  std::uint32_t last_base_ = 0;
+  std::uint32_t last_span_ = 0;
   L0Stats stats_;
 };
 

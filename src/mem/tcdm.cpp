@@ -1,11 +1,27 @@
 #include "mem/tcdm.hpp"
 
+#include <bit>
+
 #include "common/error.hpp"
 
 namespace copift::mem {
 
 std::uint64_t TcdmArbiter::arbitrate(const std::vector<TcdmRequest>& requests) {
   if (requests.size() > 64) throw SimError("too many TCDM requests in one cycle");
+
+  // Fast path: when every request targets a distinct bank, the priority
+  // order cannot matter and the walk below would grant all of them.
+  if (num_banks_ <= 64) {
+    std::uint64_t banks = 0;
+    for (const TcdmRequest& r : requests) banks |= std::uint64_t{1} << bank_of(r.addr);
+    const auto n = static_cast<unsigned>(requests.size());
+    if (static_cast<unsigned>(std::popcount(banks)) == n) {
+      grants_ += n;
+      rr_ = (rr_ + 1) % num_requesters_;
+      return n == 64 ? ~std::uint64_t{0} : (std::uint64_t{1} << n) - 1;
+    }
+  }
+
   std::uint64_t granted = 0;
   // Lazily size the persistent scratch; after warm-up no cycle allocates
   // (this loop runs every simulated cycle of every run in a sweep).

@@ -1,4 +1,5 @@
-// The registry programs the front-end tests pin and mutate: every registered
+// The registry programs the front-end tests pin and mutate, and whose
+// simulated counters test_decode_cache pins: every registered
 // workload x variant at cores 1 and 4 (n=64, seed 7, the first valid block of
 // perfbench cold_pipeline's list: default, 16, 4, 32, 8) plus every tiled
 // configuration (n=65536, tile 1024, cores 2, blocks as perfbench tiled_dram:

@@ -1,7 +1,10 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <numeric>
 #include <random>
+#include <string>
+#include <vector>
 
 #include "common/error.hpp"
 #include "common/layout.hpp"
@@ -146,37 +149,58 @@ class ReferenceArbiter {
 
 }  // namespace
 
-// Guard for the allocation-free rewrite: randomized multi-hart request
-// patterns over thousands of cycles must produce exactly the grant masks of
-// the historical stable-sort arbiter (same rotating-priority decisions, same
-// conflict counts).
+// Guard for the allocation-free rewrite and the conflict-free fast path:
+// randomized multi-hart request patterns over thousands of cycles must
+// produce exactly the grant masks of the historical stable-sort arbiter
+// (same rotating-priority decisions, same conflict counts). 8 banks clash on
+// most cycles; 32 banks interleave clash-free cycles with clashing ones, so
+// the rotation after fast-path cycles is checked; 24 banks is not a power of
+// two; 96 banks is past the fast path's 64-bank mask.
 TEST(Tcdm, RotatingIterationMatchesStableSortReference) {
-  constexpr unsigned kBanks = 8;
-  constexpr unsigned kHarts = 4;
-  TcdmArbiter arb(kBanks, kHarts);
-  ReferenceArbiter ref(kBanks, kHarts);
-  std::mt19937 rng(1234);
-  std::uint64_t total_grants = 0;
-  for (int cycle = 0; cycle < 5000; ++cycle) {
-    std::vector<TcdmRequest> reqs;
-    // Each (hart, port) pair presents at most one request, like the cluster.
-    for (unsigned h = 0; h < kHarts; ++h) {
-      for (unsigned p = 0; p < kNumTcdmPorts; ++p) {
-        if ((rng() & 3u) != 0) continue;  // ~25% of ports active per cycle
-        TcdmRequest r;
-        r.port = static_cast<TcdmPort>(p);
-        r.addr = kTcdmBase + (rng() % 64) * 8;
-        r.hart = h;
-        reqs.push_back(r);
+  struct ArbiterShape {
+    unsigned banks;
+    unsigned harts;
+    unsigned clash_free_percent;  // share of cycles drawn with every request on its own bank
+  };
+  constexpr ArbiterShape kShapes[] = {{8, 4, 0}, {32, 4, 80}, {24, 3, 50}, {96, 4, 50}};
+  for (const ArbiterShape& shape : kShapes) {
+    SCOPED_TRACE(std::to_string(shape.banks) + " banks, " + std::to_string(shape.harts) +
+                 " harts");
+    TcdmArbiter arb(shape.banks, shape.harts);
+    ReferenceArbiter ref(shape.banks, shape.harts);
+    std::mt19937 rng(1234);
+    std::vector<unsigned> banks(shape.banks);
+    std::iota(banks.begin(), banks.end(), 0u);
+    std::uint64_t total_requests = 0;
+    std::uint64_t total_grants = 0;
+    for (int cycle = 0; cycle < 5000; ++cycle) {
+      const bool clash_free = rng() % 100 < shape.clash_free_percent;
+      if (clash_free) std::shuffle(banks.begin(), banks.end(), rng);
+      std::vector<TcdmRequest> reqs;
+      // Each (hart, port) pair presents at most one request, like the cluster.
+      for (unsigned h = 0; h < shape.harts; ++h) {
+        for (unsigned p = 0; p < kNumTcdmPorts; ++p) {
+          if ((rng() & 3u) != 0) continue;  // ~25% of ports active per cycle
+          TcdmRequest r;
+          r.port = static_cast<TcdmPort>(p);
+          // A clash-free cycle gives request i bank banks[i], at any row.
+          const unsigned word = clash_free ? banks.at(reqs.size()) + shape.banks * (rng() % 4)
+                                           : rng() % (2 * shape.banks);
+          r.addr = kTcdmBase + word * 8;
+          r.hart = h;
+          reqs.push_back(r);
+        }
       }
+      const std::uint64_t got = arb.arbitrate(reqs);
+      const std::uint64_t want = ref.arbitrate(reqs);
+      ASSERT_EQ(got, want) << "cycle " << cycle << " with " << reqs.size() << " requests";
+      total_requests += reqs.size();
+      total_grants += static_cast<std::uint64_t>(__builtin_popcountll(got));
     }
-    const std::uint64_t got = arb.arbitrate(reqs);
-    const std::uint64_t want = ref.arbitrate(reqs);
-    ASSERT_EQ(got, want) << "cycle " << cycle << " with " << reqs.size() << " requests";
-    total_grants += static_cast<std::uint64_t>(__builtin_popcountll(got));
+    EXPECT_EQ(arb.grants(), total_grants);
+    EXPECT_EQ(arb.conflicts(), total_requests - total_grants);
+    EXPECT_GT(arb.conflicts(), 0u);  // the pattern actually exercised conflicts
   }
-  EXPECT_EQ(arb.grants(), total_grants);
-  EXPECT_GT(arb.conflicts(), 0u);  // the pattern actually exercised conflicts
 }
 
 TEST(L0, SequentialStreamIsPrefetched) {
@@ -218,6 +242,92 @@ TEST(L0, FlushEvicts) {
   l0.flush();
   l0.reset_stats();
   EXPECT_GT(l0.fetch(0x1000), 0u);  // branch miss again
+}
+
+/// Reference L0: the lookup before the same-line fast path, transcribed
+/// verbatim (FIFO scan on every fetch).
+class ReferenceL0 {
+ public:
+  ReferenceL0(unsigned num_lines, unsigned words_per_line, unsigned branch_miss_penalty)
+      : num_lines_(num_lines),
+        words_per_line_(words_per_line),
+        branch_miss_penalty_(branch_miss_penalty),
+        lines_(num_lines, UINT32_MAX) {}
+
+  unsigned fetch(std::uint32_t pc) {
+    const std::uint32_t line = pc / (4 * words_per_line_);
+    if (std::find(lines_.begin(), lines_.end(), line) != lines_.end()) {
+      ++stats.hits;
+      last_line_ = line;
+      return 0;
+    }
+    lines_[fifo_head_] = line;
+    fifo_head_ = (fifo_head_ + 1) % num_lines_;
+    const bool sequential = last_line_ != UINT32_MAX && line == last_line_ + 1;
+    last_line_ = line;
+    if (sequential) {
+      ++stats.sequential_refills;
+      return 0;
+    }
+    ++stats.branch_misses;
+    return branch_miss_penalty_;
+  }
+
+  void flush() {
+    std::fill(lines_.begin(), lines_.end(), UINT32_MAX);
+    fifo_head_ = 0;
+    last_line_ = UINT32_MAX;
+  }
+
+  L0Stats stats;
+
+ private:
+  unsigned num_lines_;
+  unsigned words_per_line_;
+  unsigned branch_miss_penalty_;
+  std::vector<std::uint32_t> lines_;
+  unsigned fifo_head_ = 0;
+  std::uint32_t last_line_ = UINT32_MAX;
+};
+
+// Seeded fetch streams mixing sequential runs, short backward branches, far
+// jumps and periodic flushes must see the reference's penalty on every fetch
+// and its hit/refill counts after every fetch, for thrashing (1 line),
+// paper-sized, long-line and short-line geometries.
+TEST(L0, MatchesFifoScanReference) {
+  struct Geometry {
+    unsigned lines;
+    unsigned words_per_line;
+  };
+  constexpr Geometry kGeometries[] = {{1, 8}, {8, 8}, {4, 16}, {16, 2}};
+  constexpr std::uint32_t kBase = 0x1000;
+  for (const Geometry& g : kGeometries) {
+    SCOPED_TRACE(std::to_string(g.lines) + "x" + std::to_string(g.words_per_line));
+    L0ICache l0(g.lines, g.words_per_line, 3);
+    ReferenceL0 ref(g.lines, g.words_per_line, 3);
+    std::mt19937 rng(20251);
+    std::uint32_t pc = kBase;
+    for (int i = 0; i < 20000; ++i) {
+      if (i % 1500 == 1499) {
+        l0.flush();
+        ref.flush();
+      }
+      const unsigned pick = rng() % 100;
+      if (pick < 80) {
+        pc += 4;  // sequential
+      } else if (pick < 92) {
+        pc -= std::min<std::uint32_t>(pc - kBase, 4 * (1 + rng() % 48));  // short loop back-edge
+      } else {
+        pc = kBase + 4 * (rng() % 2048);  // far jump
+      }
+      ASSERT_EQ(l0.fetch(pc), ref.fetch(pc)) << "fetch " << i << " at pc " << pc;
+      ASSERT_EQ(l0.stats().hits, ref.stats.hits) << "fetch " << i;
+      ASSERT_EQ(l0.stats().sequential_refills, ref.stats.sequential_refills) << "fetch " << i;
+      ASSERT_EQ(l0.stats().branch_misses, ref.stats.branch_misses) << "fetch " << i;
+    }
+    EXPECT_GT(ref.stats.sequential_refills, 0u);
+    EXPECT_GT(ref.stats.branch_misses, 0u);
+  }
 }
 
 TEST(Dma, CopiesAndTracksBusy) {

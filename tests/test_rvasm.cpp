@@ -10,6 +10,7 @@
 #include "common/bits.hpp"
 #include "common/error.hpp"
 #include "common/layout.hpp"
+#include "fnv1a.hpp"
 #include "isa/csr.hpp"
 #include "registry_points.hpp"
 
@@ -391,27 +392,7 @@ TEST(AsmProgram, TextIndexChecks) {
 
 // --- Pinned program images ----------------------------------------------------
 
-/// FNV-1a 64 over a byte stream; integers are fed little-endian.
-class Fnv1a {
- public:
-  void bytes(const void* data, std::size_t size) {
-    const auto* p = static_cast<const unsigned char*>(data);
-    for (std::size_t i = 0; i < size; ++i) {
-      hash_ ^= p[i];
-      hash_ *= 0x100000001b3ULL;
-    }
-  }
-  void u32(std::uint32_t v) {
-    const unsigned char le[4] = {static_cast<unsigned char>(v), static_cast<unsigned char>(v >> 8),
-                                 static_cast<unsigned char>(v >> 16),
-                                 static_cast<unsigned char>(v >> 24)};
-    bytes(le, sizeof(le));
-  }
-  [[nodiscard]] std::uint64_t value() const { return hash_; }
-
- private:
-  std::uint64_t hash_ = 0xcbf29ce484222325ULL;
-};
+using testing::Fnv1a;
 
 std::uint64_t source_hash(const std::string& source) {
   Fnv1a h;
