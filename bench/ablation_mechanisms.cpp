@@ -94,7 +94,8 @@ int main(int argc, char** argv) {
       std::printf("  latency %u: pi_lcg base %.3f copift %.3f (speedup %.2fx, wb stalls %llu)\n",
                   lat, base->run.ipc(), cop->run.ipc(),
                   static_cast<double>(base->run.region.cycles) / cop->run.region.cycles,
-                  static_cast<unsigned long long>(cop->run.region.stall_wb_port));
+                  static_cast<unsigned long long>(
+                      cop->run.region.slot(sim::StallCause::kIntWbPort)));
     }
   }
   return 0;

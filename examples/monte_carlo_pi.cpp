@@ -7,6 +7,7 @@
 #include "kernels/runner.hpp"
 #include "rvasm/assembler.hpp"
 #include "sim/cluster.hpp"
+#include "workload/workload.hpp"
 
 int main() {
   using namespace copift;
@@ -20,7 +21,7 @@ int main() {
     cfg.n = n;
     cfg.block = 96;
     cfg.seed = 7;
-    const auto generated = generate(KernelId::kPiXoshiro, Variant::kCopift, cfg);
+    const auto generated = workload::generate("pi_xoshiro128p", Variant::kCopift, cfg);
     sim::Cluster cluster(rvasm::assemble(generated.source));
     populate_inputs(cluster, generated);
     cluster.run();
@@ -39,8 +40,8 @@ int main() {
   cfg.n = 12288;
   cfg.block = 96;
   cfg.seed = 7;
-  const auto base = run_kernel(generate(KernelId::kPiXoshiro, Variant::kBaseline, cfg));
-  const auto cop = run_kernel(generate(KernelId::kPiXoshiro, Variant::kCopift, cfg));
+  const auto base = run_kernel(workload::generate("pi_xoshiro128p", Variant::kBaseline, cfg));
+  const auto cop = run_kernel(workload::generate("pi_xoshiro128p", Variant::kCopift, cfg));
   std::printf("\nAt n=12288: baseline %llu cycles, COPIFT %llu cycles (%.2fx speedup),\n"
               "both verified bit-exactly against the reference PRNG streams.\n",
               static_cast<unsigned long long>(base.region.cycles),

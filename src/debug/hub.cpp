@@ -37,7 +37,7 @@ bool DebugHub::clear_watchpoint(std::uint32_t addr, std::uint32_t len, WatchKind
 
 std::uint64_t DebugHub::issue_count(unsigned hart) const {
   const auto& c = cluster_->complex(hart).counters();
-  return c.int_retired + c.int_offloads;
+  return c.int_issue_cycles();
 }
 
 bool DebugHub::fpss_all_idle() const {

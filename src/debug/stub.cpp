@@ -481,15 +481,15 @@ std::string GdbStub::monitor_text(const std::string& command) {
     for (unsigned h = 0; h < cluster.num_cores(); ++h) {
       if (only >= 0 && h != static_cast<unsigned>(only)) continue;
       const auto& c = cluster.complex(h).counters();
-      os << "hart " << h << ": issue " << c.int_issue_cycles() << ", stalls "
-         << c.int_stall_cycles() << " (raw " << c.stall_raw << ", wb-port "
-         << c.stall_wb_port << ", offload " << c.stall_offload_full << ", icache "
-         << c.stall_icache << ", tcdm " << c.stall_tcdm << ", branch " << c.stall_branch
-         << ", barrier " << c.stall_barrier << ", hw-barrier " << c.stall_hw_barrier
-         << ", div " << c.stall_div_busy << ", mem-order " << c.stall_mem_order
-         << ", dma-wait " << c.stall_dma_wait << ", dma-dram " << c.stall_dma_dram
-         << "), fpss issue " << c.fpss_issue_cycles() << ", fpss stalls "
-         << c.fpss_stall_cycles() << "\n";
+      os << "hart " << h << ": int issue " << c.int_issue_cycles() << ", stall "
+         << c.int_stall_cycles() << "; fpss issue " << c.fpss_issue_cycles() << ", stall "
+         << c.fpss_stall_cycles();
+      const char* sep = " (";
+      for (const sim::CauseInfo& info : sim::kCauseInfo) {
+        os << sep << info.name << ' ' << c.slot(info.cause);
+        sep = ", ";
+      }
+      os << ")\n";
     }
     return os.str();
   }

@@ -1,6 +1,7 @@
 #include "engine/experiment.hpp"
 
 #include <array>
+#include <optional>
 #include <ostream>
 #include <sstream>
 
@@ -158,25 +159,53 @@ const sim::ActivityCounters& stall_region(const ResultRow& row) {
   return row.steady ? row.steady_region : row.run.region;
 }
 
-constexpr std::array<const char*, 22> kStallColumns = {
-    "int_issue_cycles", "int_stall_cycles", "int_halt_cycles", "stall_raw",
-    "stall_wb_port", "stall_offload_full", "stall_icache", "stall_branch",
-    "stall_div_busy", "stall_tcdm", "stall_mem_order", "stall_barrier",
-    "stall_hw_barrier", "stall_dma_wait", "stall_dma_dram",
-    "fpss_issue_cycles", "fpss_stall_cycles", "fpss_idle",
-    "fpss_stall_raw", "fpss_stall_ssr", "fpss_stall_struct", "fpss_stall_tcdm"};
+/// One issue-slot column: one slot counter, or (no `cause`) the unit's
+/// total of `kind`.
+struct StallColumn {
+  const char* name;
+  sim::TraceUnit unit;
+  sim::SlotKind kind;
+  std::optional<sim::StallCause> cause;
 
-/// The stall-cause values in kStallColumns order.
-std::array<std::uint64_t, 22> stall_values(const sim::ActivityCounters& r) {
-  return {r.int_issue_cycles(), r.int_stall_cycles(), r.int_halt_cycles,
-          r.stall_raw,          r.stall_wb_port,      r.stall_offload_full,
-          r.stall_icache,       r.stall_branch,       r.stall_div_busy,
-          r.stall_tcdm,         r.stall_mem_order,    r.stall_barrier,
-          r.stall_hw_barrier,   r.stall_dma_wait,     r.stall_dma_dram,
-          r.fpss_issue_cycles(), r.fpss_stall_cycles(), r.fpss_idle,
-          r.fpss_stall_raw,     r.fpss_stall_ssr,     r.fpss_stall_struct,
-          r.fpss_stall_tcdm};
-}
+  [[nodiscard]] std::uint64_t value(const sim::ActivityCounters& c) const {
+    return cause ? c.slot(*cause) : c.unit_cycles(unit, kind);
+  }
+};
+
+struct UnitColumns {
+  sim::TraceUnit unit;
+  const char* issue_total;
+  const char* stall_total;
+};
+constexpr UnitColumns kUnitColumns[] = {
+    {sim::TraceUnit::kIntCore, "int_issue_cycles", "int_stall_cycles"},
+    {sim::TraceUnit::kFpss, "fpss_issue_cycles", "fpss_stall_cycles"}};
+
+constexpr std::size_t kNumStallColumns = [] {
+  std::size_t n = 2 * std::size(kUnitColumns);
+  for (const sim::CauseInfo& info : sim::kCauseInfo) n += info.kind != sim::SlotKind::kIssue;
+  return n;
+}();
+
+/// Per unit: its issue and stall totals, its idle counter, then its
+/// stall-kind counters, each in taxonomy order.
+constexpr auto kStallColumns = [] {
+  using sim::SlotKind;
+  std::array<StallColumn, kNumStallColumns> columns{};
+  std::size_t n = 0;
+  for (const UnitColumns& u : kUnitColumns) {
+    columns[n++] = {u.issue_total, u.unit, SlotKind::kIssue, {}};
+    columns[n++] = {u.stall_total, u.unit, SlotKind::kStall, {}};
+    for (const SlotKind kind : {SlotKind::kIdle, SlotKind::kStall}) {
+      for (const sim::CauseInfo& info : sim::kCauseInfo) {
+        if (info.unit == u.unit && info.kind == kind) {
+          columns[n++] = {info.counter, u.unit, kind, info.cause};
+        }
+      }
+    }
+  }
+  return columns;
+}();
 
 }  // namespace
 
@@ -184,7 +213,7 @@ void ResultTable::write_csv(std::ostream& os) const {
   os << "index,kernel,variant,n,block,seed,cores,tile,params,verified,cycles,region_cycles,"
         "int_retired,fp_retired,ipc,power_mw,energy_nj,steady,steady_ipc,"
         "cycles_per_item,energy_pj_per_item";
-  for (const char* col : kStallColumns) os << ',' << col;
+  for (const StallColumn& col : kStallColumns) os << ',' << col.name;
   os << '\n';
   for (const auto& row : rows_) {
     const auto& p = row.point;
@@ -206,7 +235,7 @@ void ResultTable::write_csv(std::ostream& os) const {
     write_number(os, row.steady ? row.metrics.cycles_per_item : 0.0);
     os << ',';
     write_number(os, row.steady ? row.metrics.energy_pj_per_item : 0.0);
-    for (const std::uint64_t v : stall_values(stall_region(row))) os << ',' << v;
+    for (const StallColumn& col : kStallColumns) os << ',' << col.value(stall_region(row));
     os << '\n';
   }
 }
@@ -240,10 +269,10 @@ void ResultTable::write_json(std::ostream& os) const {
       os << ",\"energy_pj_per_item\":";
       write_number(os, row.metrics.energy_pj_per_item);
     }
-    os << ",\"stalls\":{";
-    const auto values = stall_values(stall_region(row));
-    for (std::size_t s = 0; s < values.size(); ++s) {
-      os << (s == 0 ? "" : ",") << '"' << kStallColumns[s] << "\":" << values[s];
+    const char* sep = ",\"stalls\":{";
+    for (const StallColumn& col : kStallColumns) {
+      os << sep << '"' << col.name << "\":" << col.value(stall_region(row));
+      sep = ",";
     }
     os << "}}" << (i + 1 < rows_.size() ? "," : "") << '\n';
   }
@@ -364,11 +393,6 @@ Experiment& Experiment::with_params(std::string label, const sim::SimParams& par
   return *this;
 }
 
-Experiment& Experiment::energy(const energy::EnergyParams& params) {
-  energy_ = params;
-  return *this;
-}
-
 Experiment& Experiment::verify(bool enabled) {
   verify_ = enabled;
   return *this;
@@ -404,8 +428,8 @@ ResultTable Experiment::run(SimEngine& engine, const CancelToken* cancel) const 
       c2.n = steady_n2_;
       const auto k1 = pt.workload->instantiate(pt.variant, c1);
       const auto k2 = pt.workload->instantiate(pt.variant, c2);
-      const auto r1 = kernels::run_kernel(k1, cache.get(k1), pt.params, verify, energy_);
-      auto r2 = kernels::run_kernel(k2, cache.get(k2), pt.params, verify, energy_);
+      const auto r1 = kernels::run_kernel(k1, cache.get(k1), pt.params, verify);
+      auto r2 = kernels::run_kernel(k2, cache.get(k2), pt.params, verify);
       row.steady = true;
       row.metrics = kernels::steady_from_runs(r1, r2, pt.workload->items(c1),
                                               pt.workload->items(c2));
@@ -414,7 +438,7 @@ ResultTable Experiment::run(SimEngine& engine, const CancelToken* cancel) const 
       row.point.config.n = steady_n2_;
     } else {
       const auto kernel = pt.workload->instantiate(pt.variant, pt.config);
-      row.run = kernels::run_kernel(kernel, cache.get(kernel), pt.params, verify, energy_);
+      row.run = kernels::run_kernel(kernel, cache.get(kernel), pt.params, verify);
     }
     rows[i] = std::move(row);
     done[i] = 1;

@@ -192,11 +192,10 @@ class Experiment {
   Experiment& cores(std::uint32_t cores);
   Experiment& tile(std::uint32_t tile);
 
-  // --- simulator / energy configuration -----------------------------------
+  // --- simulator configuration ----------------------------------------------
   /// Add a named SimParams variant to the params axis. The first call
   /// replaces the default configuration; later calls append.
   Experiment& with_params(std::string label, const sim::SimParams& params);
-  Experiment& energy(const energy::EnergyParams& params);
 
   // --- run semantics -------------------------------------------------------
   /// Verify every run against the golden references (default on).
@@ -224,7 +223,6 @@ class Experiment {
 
  private:
   ParamGrid grid_;
-  energy::EnergyParams energy_{};
   bool verify_ = true;
   std::function<bool(const GridPoint&)> verify_pred_;
   bool steady_ = false;

@@ -1,25 +1,9 @@
 #include "kernels/kernels.hpp"
 
-#include "common/error.hpp"
-
 namespace copift::kernels {
-
-std::string kernel_name(KernelId id) {
-  const auto index = static_cast<std::size_t>(id);
-  if (index >= std::size(kPaperWorkloads)) throw Error("kernel_name: invalid KernelId");
-  return std::string(kPaperWorkloads[index]);
-}
 
 bool is_transcendental(std::string_view name) {
   return name == "exp" || name == "log";
-}
-
-bool is_transcendental(KernelId id) {
-  return is_transcendental(kernel_name(id));
-}
-
-GeneratedKernel generate(KernelId id, Variant variant, const KernelConfig& config) {
-  return workload::generate(kernel_name(id), variant, config);
 }
 
 }  // namespace copift::kernels

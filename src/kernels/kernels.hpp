@@ -12,13 +12,8 @@
 //
 // Convention of labels used by the analysis/bench code:
 //   body_begin / body_end — the steady-state loop body (Table I counting)
-//
-// `KernelId` survives only as a thin compatibility shim that resolves to
-// registry names; nothing in the harness dispatches on it anymore.
 #pragma once
 
-#include <cstdint>
-#include <string>
 #include <string_view>
 
 #include "workload/workload.hpp"
@@ -30,39 +25,11 @@ using Variant = workload::Variant;
 using KernelConfig = workload::WorkloadConfig;
 using GeneratedKernel = workload::GeneratedWorkload;
 
-/// Registry names of the six paper kernels, in enum-shim order.
+/// Registry names of the six paper kernels.
 inline constexpr std::string_view kPaperWorkloads[] = {
     "exp", "log", "poly_lcg", "pi_lcg", "poly_xoshiro128p", "pi_xoshiro128p"};
 
-// --- KernelId compatibility shim -------------------------------------------
-// Legacy callers identified kernels with this closed enum. It now only maps
-// onto the open registry: kernel_name() yields the registry key and
-// generate() resolves through WorkloadRegistry. New code should use names.
-
-enum class KernelId {
-  kExp,          // y[i] = exp(x[i]) (glibc-style, paper Fig. 1)
-  kLog,          // y[i] = log(x[i]) (uses ISSR + fcvt.d.w.cop)
-  kPolyLcg,      // MC integration of a degree-5 polynomial, LCG PRNG
-  kPiLcg,        // MC pi estimation, LCG PRNG
-  kPolyXoshiro,  // MC polynomial, xoshiro128+ PRNG
-  kPiXoshiro,    // MC pi, xoshiro128+ PRNG
-};
-
-inline constexpr KernelId kAllKernels[] = {KernelId::kExp,     KernelId::kLog,
-                                           KernelId::kPolyLcg, KernelId::kPiLcg,
-                                           KernelId::kPolyXoshiro, KernelId::kPiXoshiro};
-
-/// Registry name of a legacy kernel id.
-[[nodiscard]] std::string kernel_name(KernelId id);
-
-/// exp/log vs Monte Carlo, by registry name (and the legacy-id wrapper).
+/// exp/log vs Monte Carlo, by registry name.
 [[nodiscard]] bool is_transcendental(std::string_view name);
-[[nodiscard]] bool is_transcendental(KernelId id);
-
-/// Generate the assembly for a kernel variant by resolving the registry.
-/// Throws workload::ConfigError on invalid configurations (non-divisible
-/// block, too few blocks, ...).
-[[nodiscard]] GeneratedKernel generate(KernelId id, Variant variant,
-                                       const KernelConfig& config);
 
 }  // namespace copift::kernels

@@ -43,9 +43,8 @@ std::shared_ptr<const rvasm::Program> assemble_kernel(const GeneratedKernel& ker
   return program;
 }
 
-KernelRun run_kernel(const GeneratedKernel& kernel, const sim::SimParams& params, bool verify,
-                     const energy::EnergyParams& energy_params) {
-  return run_kernel(kernel, assemble_kernel(kernel), params, verify, energy_params);
+KernelRun run_kernel(const GeneratedKernel& kernel, const sim::SimParams& params, bool verify) {
+  return run_kernel(kernel, assemble_kernel(kernel), params, verify);
 }
 
 namespace {
@@ -69,8 +68,7 @@ sim::ActivityCounters region_delta(const std::vector<sim::RegionEvent>& regions,
 
 KernelRun run_kernel(const GeneratedKernel& kernel,
                      std::shared_ptr<const rvasm::Program> program,
-                     const sim::SimParams& params, bool verify,
-                     const energy::EnergyParams& energy_params) {
+                     const sim::SimParams& params, bool verify) {
   // The workload config owns the hart count: the generated program encodes
   // its partitioning, so the topology must match it exactly.
   sim::SimParams run_params = params;
@@ -80,7 +78,7 @@ KernelRun run_kernel(const GeneratedKernel& kernel,
   KernelRun out;
   out.result = cluster.run();
   out.total = cluster.counters();
-  const energy::EnergyModel model(energy_params);
+  const energy::EnergyModel model;
   if (cluster.num_cores() == 1) {
     out.region = region_delta(cluster.regions(), 0);
     out.region_energy = model.evaluate(out.region);
@@ -105,25 +103,16 @@ KernelRun run_kernel(const GeneratedKernel& kernel,
 
 SteadyMetrics steady_metrics(std::string_view workload, Variant variant,
                              const KernelConfig& config, std::uint32_t n1, std::uint32_t n2,
-                             const sim::SimParams& params,
-                             const energy::EnergyParams& energy_params) {
+                             const sim::SimParams& params) {
   if (n2 <= n1) throw Error("steady_metrics requires n2 > n1");
   const auto handle = workload::WorkloadRegistry::instance().at(workload);
   KernelConfig c1 = config;
   c1.n = n1;
   KernelConfig c2 = config;
   c2.n = n2;
-  const KernelRun r1 = run_kernel(handle->instantiate(variant, c1), params, /*verify=*/true,
-                                  energy_params);
-  const KernelRun r2 = run_kernel(handle->instantiate(variant, c2), params, /*verify=*/true,
-                                  energy_params);
+  const KernelRun r1 = run_kernel(handle->instantiate(variant, c1), params, /*verify=*/true);
+  const KernelRun r2 = run_kernel(handle->instantiate(variant, c2), params, /*verify=*/true);
   return steady_from_runs(r1, r2, handle->items(c1), handle->items(c2));
-}
-
-SteadyMetrics steady_metrics(KernelId id, Variant variant, const KernelConfig& config,
-                             std::uint32_t n1, std::uint32_t n2, const sim::SimParams& params,
-                             const energy::EnergyParams& energy_params) {
-  return steady_metrics(kernel_name(id), variant, config, n1, n2, params, energy_params);
 }
 
 SteadyMetrics steady_from_runs(const KernelRun& r1, const KernelRun& r2, std::uint64_t items1,

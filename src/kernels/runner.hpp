@@ -46,15 +46,13 @@ std::shared_ptr<const rvasm::Program> assemble_kernel(const GeneratedKernel& ker
 /// assembly/simulation problems or verification mismatches (set
 /// `verify=false` to skip the golden check, e.g. for parameter sweeps).
 KernelRun run_kernel(const GeneratedKernel& kernel, const sim::SimParams& params = {},
-                     bool verify = true,
-                     const energy::EnergyParams& energy_params = {});
+                     bool verify = true);
 
 /// Same, but runs a pre-assembled shared program (no per-run program copy);
 /// `program` must have been assembled from `kernel.source`.
 KernelRun run_kernel(const GeneratedKernel& kernel,
                      std::shared_ptr<const rvasm::Program> program,
-                     const sim::SimParams& params = {}, bool verify = true,
-                     const energy::EnergyParams& energy_params = {});
+                     const sim::SimParams& params = {}, bool verify = true);
 
 /// Steady-state metrics via the two-size marginal method: run the workload at
 /// n1 and n2 > n1 and report marginal IPC/power over the extra work. This
@@ -69,13 +67,7 @@ struct SteadyMetrics {
 };
 SteadyMetrics steady_metrics(std::string_view workload, Variant variant,
                              const KernelConfig& config, std::uint32_t n1, std::uint32_t n2,
-                             const sim::SimParams& params = {},
-                             const energy::EnergyParams& energy_params = {});
-/// Legacy-enum wrapper.
-SteadyMetrics steady_metrics(KernelId id, Variant variant, const KernelConfig& config,
-                             std::uint32_t n1, std::uint32_t n2,
-                             const sim::SimParams& params = {},
-                             const energy::EnergyParams& energy_params = {});
+                             const sim::SimParams& params = {});
 
 /// Derive steady-state metrics from two completed runs that performed
 /// items1 < items2 work items. Shared by steady_metrics() and the engine's

@@ -8,6 +8,7 @@
 
 #include "common/layout.hpp"
 #include "isa/csr.hpp"
+#include "isa/eval.hpp"
 #include "isa/instr.hpp"
 #include "isa/reg.hpp"
 #include "ssr/ssr.hpp"
@@ -145,75 +146,6 @@ unsigned access_bytes(Mnemonic m) {
   }
 }
 
-/// Mirror of sim::Core's ALU/mul/div fold over two known operands — the
-/// abstract interpreter must agree bit-for-bit with the simulator or the
-/// address rules would lie.
-std::uint32_t fold_alu(Mnemonic m, std::uint32_t a, std::uint32_t b,
-                       std::uint32_t pc, std::int32_t imm) {
-  const auto sa = static_cast<std::int32_t>(a);
-  const auto sb = static_cast<std::int32_t>(b);
-  switch (m) {
-    case Mnemonic::kLui: return static_cast<std::uint32_t>(imm) << 12;
-    case Mnemonic::kAuipc: return pc + (static_cast<std::uint32_t>(imm) << 12);
-    case Mnemonic::kAddi: return a + static_cast<std::uint32_t>(imm);
-    case Mnemonic::kSlti: return sa < imm ? 1 : 0;
-    case Mnemonic::kSltiu: return a < static_cast<std::uint32_t>(imm) ? 1 : 0;
-    case Mnemonic::kXori: return a ^ static_cast<std::uint32_t>(imm);
-    case Mnemonic::kOri: return a | static_cast<std::uint32_t>(imm);
-    case Mnemonic::kAndi: return a & static_cast<std::uint32_t>(imm);
-    case Mnemonic::kSlli: return a << (imm & 31);
-    case Mnemonic::kSrli: return a >> (imm & 31);
-    case Mnemonic::kSrai: return static_cast<std::uint32_t>(sa >> (imm & 31));
-    case Mnemonic::kAdd: return a + b;
-    case Mnemonic::kSub: return a - b;
-    case Mnemonic::kSll: return a << (b & 31);
-    case Mnemonic::kSlt: return sa < sb ? 1 : 0;
-    case Mnemonic::kSltu: return a < b ? 1 : 0;
-    case Mnemonic::kXor: return a ^ b;
-    case Mnemonic::kSrl: return a >> (b & 31);
-    case Mnemonic::kSra: return static_cast<std::uint32_t>(sa >> (b & 31));
-    case Mnemonic::kOr: return a | b;
-    case Mnemonic::kAnd: return a & b;
-    case Mnemonic::kMul: return a * b;
-    case Mnemonic::kMulh:
-      return static_cast<std::uint32_t>(
-          (static_cast<std::int64_t>(sa) * static_cast<std::int64_t>(sb)) >> 32);
-    case Mnemonic::kMulhsu:
-      return static_cast<std::uint32_t>(
-          (static_cast<std::int64_t>(sa) * static_cast<std::int64_t>(static_cast<std::uint64_t>(b))) >> 32);
-    case Mnemonic::kMulhu:
-      return static_cast<std::uint32_t>(
-          (static_cast<std::uint64_t>(a) * static_cast<std::uint64_t>(b)) >> 32);
-    case Mnemonic::kDiv:
-      if (b == 0) return ~std::uint32_t{0};
-      if (a == 0x8000'0000u && sb == -1) return a;
-      return static_cast<std::uint32_t>(sa / sb);
-    case Mnemonic::kDivu:
-      return b == 0 ? ~std::uint32_t{0} : a / b;
-    case Mnemonic::kRem:
-      if (b == 0) return a;
-      if (a == 0x8000'0000u && sb == -1) return 0;
-      return static_cast<std::uint32_t>(sa % sb);
-    case Mnemonic::kRemu:
-      return b == 0 ? a : a % b;
-    default: return 0;
-  }
-}
-
-bool branch_taken(Mnemonic m, std::uint32_t a, std::uint32_t b) {
-  const auto sa = static_cast<std::int32_t>(a);
-  const auto sb = static_cast<std::int32_t>(b);
-  switch (m) {
-    case Mnemonic::kBeq: return a == b;
-    case Mnemonic::kBne: return a != b;
-    case Mnemonic::kBlt: return sa < sb;
-    case Mnemonic::kBge: return sa >= sb;
-    case Mnemonic::kBltu: return a < b;
-    case Mnemonic::kBgeu: return a >= b;
-    default: return false;
-  }
-}
-
 /// One block-local walk context: applies the transfer function instruction
 /// by instruction, tracking the active FREP replay multiplier, and (in the
 /// report pass) emits diagnostics into `sink`.
@@ -300,7 +232,7 @@ class Walker {
     const Value a = get(s, in.rs1);
     const Value b = get(s, in.rs2);
     if (!a.is_const() || !b.is_const()) return std::nullopt;
-    return branch_taken(in.mnemonic, a.c, b.c);
+    return isa::branch_taken(in.mnemonic, a.c, b.c);
   }
 
  private:
@@ -418,7 +350,7 @@ class Walker {
     const bool binary = mi.rs2_class == RegClass::kInt;
     if ((unary || a.is_const()) && (!binary || b.is_const())) {
       set_gpr(s, in.rd,
-              Value::konst(fold_alu(in.mnemonic, a.c, b.c, cfg_.pc_of(idx), in.imm)));
+              Value::konst(isa::alu_result(in.mnemonic, a.c, b.c, in.imm, cfg_.pc_of(idx))));
     } else {
       set_gpr(s, in.rd, Value::unknown());
     }

@@ -1,5 +1,6 @@
 #include "serve/cache.hpp"
 
+#include <cstdio>
 #include <cstring>
 #include <istream>
 #include <ostream>
@@ -13,8 +14,9 @@ namespace copift::serve {
 namespace {
 
 // The persisted format stores ActivityCounters as raw 64-bit words, so the
-// struct must be a flat array of them; the header's `counters=` stamp
-// additionally rejects files from builds where the field set changed.
+// struct must be a flat array of them; the header's `layout=` stamp (the
+// counters' layout fingerprint) rejects files from builds whose words moved,
+// even when the struct kept its size.
 static_assert(std::is_trivially_copyable_v<sim::ActivityCounters> &&
                   sizeof(sim::ActivityCounters) % 8 == 0,
               "cache persistence assumes ActivityCounters is packed u64s");
@@ -22,6 +24,13 @@ static_assert(std::is_trivially_copyable_v<sim::ActivityCounters> &&
 constexpr std::size_t kCounterWords = sizeof(sim::ActivityCounters) / 8;
 constexpr const char* kMagic = "copift-cache";
 constexpr unsigned kVersion = 1;
+
+std::string layout_stamp() {
+  char buf[32];
+  std::snprintf(buf, sizeof(buf), "layout=%016llx",
+                static_cast<unsigned long long>(sim::counters_layout_fingerprint()));
+  return buf;
+}
 
 void put_counters(std::ostream& os, const char* tag, const sim::ActivityCounters& c) {
   std::uint64_t words[kCounterWords];
@@ -218,7 +227,7 @@ void ResultCache::fail(const ResultKey& key, const EntryPtr& entry, const std::s
 
 std::size_t ResultCache::save(std::ostream& os) const {
   std::lock_guard lock(mutex_);
-  os << kMagic << " v" << kVersion << " counters=" << sizeof(sim::ActivityCounters) << '\n';
+  os << kMagic << " v" << kVersion << ' ' << layout_stamp() << '\n';
   std::size_t written = 0;
   // Back-to-front (LRU first): load() re-inserts each entry at the MRU end,
   // so reading in this order reproduces today's recency ranking.
@@ -257,16 +266,15 @@ std::size_t ResultCache::save(std::ostream& os) const {
 std::size_t ResultCache::load(std::istream& is, const WorkloadResolver& resolver) {
   {
     auto header = expect_line(is, kMagic);
-    std::string version, counters;
-    header >> version >> counters;
+    std::string version, layout;
+    header >> version >> layout;
     const std::string want_version = "v" + std::to_string(kVersion);
-    const std::string want_counters = "counters=" + std::to_string(sizeof(sim::ActivityCounters));
     if (version != want_version) {
       throw Error("cache file version mismatch: got '" + version + "', want '" + want_version + "'");
     }
-    if (counters != want_counters) {
-      throw Error("cache file counter layout mismatch: got '" + counters + "', want '" +
-                  want_counters + "' (stale file from another build)");
+    if (layout != layout_stamp()) {
+      throw Error("cache file counter layout mismatch: got '" + layout + "', want '" +
+                  layout_stamp() + "' (stale file from another build)");
     }
   }
   std::size_t restored = 0;

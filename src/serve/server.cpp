@@ -463,8 +463,7 @@ engine::ResultRow Server::simulate_point(const PointSpec& spec, bool verify,
   row.point.params = sim::SimParams{};
   row.point.params.num_cores = spec.config.cores;
   const auto kernel = wl->instantiate(spec.variant, spec.config);
-  row.run = kernels::run_kernel(kernel, programs.get(kernel), row.point.params, verify,
-                                energy::EnergyParams{});
+  row.run = kernels::run_kernel(kernel, programs.get(kernel), row.point.params, verify);
   return row;
 }
 

@@ -5,6 +5,7 @@
 #include "common/bits.hpp"
 #include "common/error.hpp"
 #include "isa/csr.hpp"
+#include "isa/eval.hpp"
 
 namespace copift::sim {
 
@@ -49,23 +50,10 @@ IntCore::IntCore(const SimParams& params, const DecodedProgram& decoded,
 }
 
 void IntCore::account(std::uint64_t now, StallCause cause) {
-  switch (cause) {
-    case StallCause::kIntRaw: ++counters_->stall_raw; break;
-    case StallCause::kIntWbPort: ++counters_->stall_wb_port; break;
-    case StallCause::kIntOffloadFull: ++counters_->stall_offload_full; break;
-    case StallCause::kIntFrontend: ++counters_->stall_icache; break;
-    case StallCause::kIntBranch: ++counters_->stall_branch; break;
-    case StallCause::kIntDivBusy: ++counters_->stall_div_busy; break;
-    case StallCause::kIntTcdm: ++counters_->stall_tcdm; break;
-    case StallCause::kIntMemOrder: ++counters_->stall_mem_order; break;
-    case StallCause::kIntBarrier: ++counters_->stall_barrier; break;
-    case StallCause::kIntHwBarrier: ++counters_->stall_hw_barrier; break;
-    case StallCause::kIntDmaWait: ++counters_->stall_dma_wait; break;
-    case StallCause::kIntDmaDram: ++counters_->stall_dma_dram; break;
-    case StallCause::kIntOffload: ++counters_->int_offloads; break;
-    case StallCause::kIntHalted: ++counters_->int_halt_cycles; break;
-    default: throw SimError("FPSS stall cause attributed to the integer core");
+  if (cause_info(cause).unit != TraceUnit::kIntCore) {
+    throw SimError("FPSS stall cause attributed to the integer core");
   }
+  ++counters_->slot(cause);
   tracer_->record_stall(now, TraceUnit::kIntCore, cause);
 }
 
@@ -80,82 +68,6 @@ void IntCore::retire_and_advance(std::uint32_t next_pc, std::uint64_t now) {
   tracer_->record(now, pc_, *op_->instr, TraceUnit::kIntCore);
   pc_ = next_pc;
   fetch_done_ = false;
-}
-
-void IntCore::execute_alu(const MicroOp& op, std::uint64_t now) {
-  const std::uint32_t a = regs_[op.rs1];
-  const std::uint32_t b = regs_[op.rs2];
-  const auto imm = static_cast<std::uint32_t>(op.imm);
-  const auto sa = static_cast<std::int32_t>(a);
-  const auto sb = static_cast<std::int32_t>(b);
-  std::uint32_t v = 0;
-  unsigned latency = 1;
-  switch (op.mnemonic) {
-    case Mnemonic::kLui: v = imm << 12; break;
-    case Mnemonic::kAuipc: v = pc_ + (imm << 12); break;
-    case Mnemonic::kAddi: v = a + imm; break;
-    case Mnemonic::kSlti: v = sa < static_cast<std::int32_t>(imm) ? 1 : 0; break;
-    case Mnemonic::kSltiu: v = a < imm ? 1 : 0; break;
-    case Mnemonic::kXori: v = a ^ imm; break;
-    case Mnemonic::kOri: v = a | imm; break;
-    case Mnemonic::kAndi: v = a & imm; break;
-    case Mnemonic::kSlli: v = a << (imm & 31); break;
-    case Mnemonic::kSrli: v = a >> (imm & 31); break;
-    case Mnemonic::kSrai: v = static_cast<std::uint32_t>(sa >> (imm & 31)); break;
-    case Mnemonic::kAdd: v = a + b; break;
-    case Mnemonic::kSub: v = a - b; break;
-    case Mnemonic::kSll: v = a << (b & 31); break;
-    case Mnemonic::kSlt: v = sa < sb ? 1 : 0; break;
-    case Mnemonic::kSltu: v = a < b ? 1 : 0; break;
-    case Mnemonic::kXor: v = a ^ b; break;
-    case Mnemonic::kSrl: v = a >> (b & 31); break;
-    case Mnemonic::kSra: v = static_cast<std::uint32_t>(sa >> (b & 31)); break;
-    case Mnemonic::kOr: v = a | b; break;
-    case Mnemonic::kAnd: v = a & b; break;
-    case Mnemonic::kMul:
-      v = a * b;
-      latency = params_.mul_latency;
-      break;
-    case Mnemonic::kMulh:
-      v = static_cast<std::uint32_t>(
-          (static_cast<std::int64_t>(sa) * static_cast<std::int64_t>(sb)) >> 32);
-      latency = params_.mul_latency;
-      break;
-    case Mnemonic::kMulhsu:
-      v = static_cast<std::uint32_t>(
-          (static_cast<std::int64_t>(sa) * static_cast<std::uint64_t>(b)) >> 32);
-      latency = params_.mul_latency;
-      break;
-    case Mnemonic::kMulhu:
-      v = static_cast<std::uint32_t>(
-          (static_cast<std::uint64_t>(a) * static_cast<std::uint64_t>(b)) >> 32);
-      latency = params_.mul_latency;
-      break;
-    case Mnemonic::kDiv:
-      v = b == 0                  ? 0xFFFFFFFFU
-          : (sa == INT32_MIN && sb == -1) ? static_cast<std::uint32_t>(INT32_MIN)
-                                          : static_cast<std::uint32_t>(sa / sb);
-      latency = params_.div_latency;
-      break;
-    case Mnemonic::kDivu:
-      v = b == 0 ? 0xFFFFFFFFU : a / b;
-      latency = params_.div_latency;
-      break;
-    case Mnemonic::kRem:
-      v = b == 0                  ? a
-          : (sa == INT32_MIN && sb == -1) ? 0
-                                          : static_cast<std::uint32_t>(sa % sb);
-      latency = params_.div_latency;
-      break;
-    case Mnemonic::kRemu:
-      v = b == 0 ? a : a % b;
-      latency = params_.div_latency;
-      break;
-    default:
-      throw SimError("non-ALU instruction in execute_alu");
-  }
-  write_rd(op.rd, v, now + latency);
-  if (op.rd != 0) book_wb(now + latency);
 }
 
 bool IntCore::execute_csr(const MicroOp& op, std::uint64_t now) {
@@ -327,7 +239,9 @@ std::optional<mem::TcdmRequest> IntCore::prepare(std::uint64_t now) {
         account(now, StallCause::kIntWbPort);
         return std::nullopt;
       }
-      execute_alu(op, now);
+      write_rd(op.rd, isa::alu_result(op.mnemonic, regs_[op.rs1], regs_[op.rs2], op.imm, pc_),
+               now + latency);
+      if (op.rd != 0) book_wb(now + latency);
       if (op.unit == ExecUnit::kIntAlu) ++counters_->int_alu;
       if (op.unit == ExecUnit::kMul) ++counters_->int_mul;
       if (op.unit == ExecUnit::kDiv) {
@@ -357,20 +271,7 @@ std::optional<mem::TcdmRequest> IntCore::prepare(std::uint64_t now) {
       return mem::TcdmRequest{mem::TcdmPort::kIntLsu, mem_addr_};
     }
     case ExecUnit::kBranch: {
-      const std::uint32_t a = regs_[op.rs1];
-      const std::uint32_t b = regs_[op.rs2];
-      const auto sa = static_cast<std::int32_t>(a);
-      const auto sb = static_cast<std::int32_t>(b);
-      bool taken = false;
-      switch (op.mnemonic) {
-        case Mnemonic::kBeq: taken = a == b; break;
-        case Mnemonic::kBne: taken = a != b; break;
-        case Mnemonic::kBlt: taken = sa < sb; break;
-        case Mnemonic::kBge: taken = sa >= sb; break;
-        case Mnemonic::kBltu: taken = a < b; break;
-        case Mnemonic::kBgeu: taken = a >= b; break;
-        default: throw SimError("bad branch");
-      }
+      const bool taken = isa::branch_taken(op.mnemonic, regs_[op.rs1], regs_[op.rs2]);
       ++counters_->branches;
       if (taken) {
         ++counters_->branches_taken;

@@ -65,8 +65,8 @@ class IntCore {
   static constexpr std::uint64_t kBusy = ~std::uint64_t{0};  // written by FPSS later
 
   void write_rd(unsigned rd, std::uint32_t value, std::uint64_t ready_at);
-  // Attribute a non-retiring issue-slot cycle: bumps the matching
-  // ActivityCounters field and, when tracing, records the StallEvent — the
+  // Attribute a non-retiring issue-slot cycle: bumps the cause's
+  // ActivityCounters slot and, when tracing, records the StallEvent — the
   // single place that keeps counters and trace in lockstep.
   void account(std::uint64_t now, StallCause cause);
   // Single RF write-port bookings live in a fixed ring indexed by cycle:
@@ -80,7 +80,6 @@ class IntCore {
   }
   void book_wb(std::uint64_t cycle) { wb_ring_[cycle & wb_ring_mask_] = cycle; }
   void retire_and_advance(std::uint32_t next_pc, std::uint64_t now);
-  void execute_alu(const MicroOp& op, std::uint64_t now);
   bool execute_csr(const MicroOp& op, std::uint64_t now);  // false => stall
   void offload_fp(const MicroOp& op, std::uint64_t now);
 

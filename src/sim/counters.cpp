@@ -1,22 +1,22 @@
 #include "sim/counters.hpp"
 
 #include <algorithm>
+#include <cstddef>
+#include <string>
 
 namespace copift::sim {
 
 namespace {
 
-// Every countable field except `cycles` (which is wall time, not an event
-// count: minus subtracts it, plus takes the max). Keeping one table makes it
-// impossible for minus() and plus() to drift apart when a field is added —
-// only this list and the struct need to change.
+// Every event field except `cycles` (which is wall time, not an event
+// count: minus subtracts it, plus takes the max) and the slot array (which
+// minus/plus walk as a whole). Keeping one list makes it impossible for
+// minus(), plus() and the layout fingerprint to drift apart when a field is
+// added; the static_assert below catches a field missing from it.
 constexpr std::uint64_t ActivityCounters::* kEventFields[] = {
     &ActivityCounters::int_retired,
     &ActivityCounters::fp_retired,
     &ActivityCounters::frep_replays,
-    &ActivityCounters::int_offloads,
-    &ActivityCounters::int_halt_cycles,
-    &ActivityCounters::fpss_cfg_cycles,
     &ActivityCounters::int_alu,
     &ActivityCounters::int_mul,
     &ActivityCounters::int_div,
@@ -52,31 +52,28 @@ constexpr std::uint64_t ActivityCounters::* kEventFields[] = {
     &ActivityCounters::dma_bytes,
     &ActivityCounters::dram_row_hits,
     &ActivityCounters::dram_row_misses,
-    &ActivityCounters::stall_raw,
-    &ActivityCounters::stall_wb_port,
-    &ActivityCounters::stall_offload_full,
-    &ActivityCounters::stall_icache,
-    &ActivityCounters::stall_tcdm,
-    &ActivityCounters::stall_barrier,
-    &ActivityCounters::stall_hw_barrier,
-    &ActivityCounters::stall_branch,
-    &ActivityCounters::stall_div_busy,
-    &ActivityCounters::stall_mem_order,
-    &ActivityCounters::stall_dma_wait,
-    &ActivityCounters::stall_dma_dram,
-    &ActivityCounters::fpss_stall_ssr,
-    &ActivityCounters::fpss_stall_raw,
-    &ActivityCounters::fpss_stall_struct,
-    &ActivityCounters::fpss_stall_tcdm,
-    &ActivityCounters::fpss_idle,
 };
 
+static_assert(sizeof(ActivityCounters) ==
+                  sizeof(std::uint64_t) * (1 + std::size(kEventFields) + kNumStallCauses),
+              "every ActivityCounters field must be in kEventFields");
+
 }  // namespace
+
+std::uint64_t ActivityCounters::unit_cycles(TraceUnit unit, SlotKind kind) const noexcept {
+  std::uint64_t sum = 0;
+  if (kind == SlotKind::kIssue) sum = unit == TraceUnit::kIntCore ? int_retired : fp_retired;
+  for (const CauseInfo& info : kCauseInfo) {
+    if (info.unit == unit && info.kind == kind) sum += slot(info.cause);
+  }
+  return sum;
+}
 
 ActivityCounters ActivityCounters::minus(const ActivityCounters& e) const noexcept {
   ActivityCounters d;
   d.cycles = cycles - e.cycles;
   for (const auto field : kEventFields) d.*field = this->*field - e.*field;
+  for (unsigned i = 0; i < kNumStallCauses; ++i) d.slots[i] = slots[i] - e.slots[i];
   return d;
 }
 
@@ -84,7 +81,26 @@ ActivityCounters ActivityCounters::plus(const ActivityCounters& other) const noe
   ActivityCounters s;
   s.cycles = std::max(cycles, other.cycles);
   for (const auto field : kEventFields) s.*field = this->*field + other.*field;
+  for (unsigned i = 0; i < kNumStallCauses; ++i) s.slots[i] = slots[i] + other.slots[i];
   return s;
+}
+
+std::uint64_t counters_layout_fingerprint() {
+  const ActivityCounters probe;
+  const auto offset = [&](const void* member) {
+    return std::to_string(static_cast<const std::byte*>(member) -
+                          reinterpret_cast<const std::byte*>(&probe));
+  };
+  std::string layout = offset(&probe.cycles);
+  for (const auto field : kEventFields) layout += ',' + offset(&(probe.*field));
+  layout += ';' + offset(probe.slots.data()) + 'x' + std::to_string(kNumStallCauses);
+  for (const CauseInfo& info : kCauseInfo) layout += std::string(",") + info.counter;
+  std::uint64_t hash = 0xcbf29ce484222325ULL;  // FNV-1a 64
+  for (const char c : layout) {
+    hash ^= static_cast<unsigned char>(c);
+    hash *= 0x100000001b3ULL;
+  }
+  return hash;
 }
 
 }  // namespace copift::sim

@@ -7,17 +7,20 @@
 // The issue-slot counters obey an exact per-unit accounting identity over
 // any simulated interval (asserted in tests/test_trace.cpp):
 //
-//   int_issue_cycles() + int_stall_cycles() + int_halt_cycles == cycles
-//   fpss_issue_cycles() + fpss_stall_cycles() + fpss_idle     == cycles
+//   unit_cycles(u, kIssue) + unit_cycles(u, kStall) + unit_cycles(u, kIdle) == cycles
 //
-// i.e. every cycle of each unit is attributed to exactly one cause: an
-// issue (retire, offload handoff, or config consumption), a named stall,
-// or idleness. `sim/trace.hpp` records the same attribution per cycle when
-// tracing is enabled; `sim/trace_export.hpp` renders it.
+// for u = kIntCore and kFpss, i.e. every cycle of each unit is attributed
+// to exactly one cause: an issue (retire, offload handoff, or config
+// consumption), a named stall, or idleness. `sim/trace.hpp` records the
+// same attribution per cycle when tracing is enabled; `sim/trace_export.hpp`
+// renders it.
 #pragma once
 
+#include <array>
 #include <cstdint>
 #include <vector>
+
+#include "sim/stall_cause.hpp"
 
 namespace copift::sim {
 
@@ -31,16 +34,6 @@ struct ActivityCounters {
   std::uint64_t int_retired = 0;
   std::uint64_t fp_retired = 0;
   std::uint64_t frep_replays = 0;
-
-  // Issue-slot cycles that are neither retires nor stalls: `int_offloads`
-  // counts cycles the integer core spent handing an instruction to the FPSS
-  // offload FIFO (the instruction retires later, on the FPSS side);
-  // `int_halt_cycles` counts post-ecall cycles where the core sat halted
-  // while in-flight FP work drained; `fpss_cfg_cycles` counts cycles the
-  // FPSS spent consuming an SSR/FREP configuration entry.
-  std::uint64_t int_offloads = 0;
-  std::uint64_t int_halt_cycles = 0;
-  std::uint64_t fpss_cfg_cycles = 0;
 
   // Integer-side events.
   std::uint64_t int_alu = 0;
@@ -83,56 +76,53 @@ struct ActivityCounters {
   std::uint64_t dram_row_hits = 0;    // DRAM bursts that found their row open
   std::uint64_t dram_row_misses = 0;  // DRAM bursts that paid precharge+activate
 
-  // Integer-core stall cycles by primary cause.
-  std::uint64_t stall_raw = 0;
-  std::uint64_t stall_wb_port = 0;
-  std::uint64_t stall_offload_full = 0;
-  std::uint64_t stall_icache = 0;
-  std::uint64_t stall_tcdm = 0;
-  std::uint64_t stall_barrier = 0;
-  std::uint64_t stall_hw_barrier = 0;  // waiting for other harts at the barrier CSR
-  std::uint64_t stall_branch = 0;
-  std::uint64_t stall_div_busy = 0;
-  std::uint64_t stall_mem_order = 0;  // int load held back by a queued FP store
-  std::uint64_t stall_dma_wait = 0;   // dmwait: TCDM-local DMA transfers draining
-  std::uint64_t stall_dma_dram = 0;   // dmwait: DRAM-touching DMA transfer in flight
+  // Issue-slot cycles, one counter per StallCause (sim/stall_cause.hpp):
+  // every non-retiring cycle of each unit, whether a stall, an issue slot
+  // used without a retire (offload handoff, SSR/FREP config), or idleness.
+  std::array<std::uint64_t, kNumStallCauses> slots{};
 
-  // FPSS stall/idle cycles.
-  std::uint64_t fpss_stall_ssr = 0;
-  std::uint64_t fpss_stall_raw = 0;
-  std::uint64_t fpss_stall_struct = 0;
-  std::uint64_t fpss_stall_tcdm = 0;
-  std::uint64_t fpss_idle = 0;
+  [[nodiscard]] std::uint64_t slot(StallCause cause) const noexcept {
+    return slots[static_cast<unsigned>(cause)];
+  }
+  [[nodiscard]] std::uint64_t& slot(StallCause cause) noexcept {
+    return slots[static_cast<unsigned>(cause)];
+  }
 
   [[nodiscard]] std::uint64_t retired() const noexcept { return int_retired + fp_retired; }
   [[nodiscard]] double ipc() const noexcept {
     return cycles == 0 ? 0.0 : static_cast<double>(retired()) / static_cast<double>(cycles);
   }
 
-  // Issue-slot aggregates (see the accounting identity in the file comment).
+  /// Issue-slot cycles of `unit` (kIntCore or kFpss) of one kind, summed
+  /// over the taxonomy; a unit's retires count as issue cycles.
+  [[nodiscard]] std::uint64_t unit_cycles(TraceUnit unit, SlotKind kind) const noexcept;
   [[nodiscard]] std::uint64_t int_issue_cycles() const noexcept {
-    return int_retired + int_offloads;
+    return unit_cycles(TraceUnit::kIntCore, SlotKind::kIssue);
   }
   [[nodiscard]] std::uint64_t int_stall_cycles() const noexcept {
-    return stall_raw + stall_wb_port + stall_offload_full + stall_icache + stall_tcdm +
-           stall_barrier + stall_hw_barrier + stall_branch + stall_div_busy + stall_mem_order +
-           stall_dma_wait + stall_dma_dram;
+    return unit_cycles(TraceUnit::kIntCore, SlotKind::kStall);
   }
   [[nodiscard]] std::uint64_t fpss_issue_cycles() const noexcept {
-    return fp_retired + fpss_cfg_cycles;
+    return unit_cycles(TraceUnit::kFpss, SlotKind::kIssue);
   }
   [[nodiscard]] std::uint64_t fpss_stall_cycles() const noexcept {
-    return fpss_stall_ssr + fpss_stall_raw + fpss_stall_struct + fpss_stall_tcdm;
+    return unit_cycles(TraceUnit::kFpss, SlotKind::kStall);
   }
 
   /// Element-wise difference (this - earlier) for region-delta analysis.
   [[nodiscard]] ActivityCounters minus(const ActivityCounters& earlier) const noexcept;
 
   /// Element-wise sum for cluster-level aggregation over harts. Every event
-  /// and stall field adds; `cycles` takes the max (all harts share the
+  /// and slot counter adds; `cycles` takes the max (all harts share the
   /// cluster clock, so summing it would double-count wall time).
   [[nodiscard]] ActivityCounters plus(const ActivityCounters& other) const noexcept;
 };
+
+/// Fingerprint of ActivityCounters' word layout: each field's offset in
+/// field-list order, then the slot array's offset, its length and each
+/// cause's counter name. A file persisting the raw words stamps it, so a
+/// build whose words moved rejects the file instead of misreading it.
+[[nodiscard]] std::uint64_t counters_layout_fingerprint();
 
 /// Region marker event, recorded when the program writes the `region` CSR.
 struct RegionEvent {

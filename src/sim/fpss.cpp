@@ -52,15 +52,10 @@ FpSubsystem::FpSubsystem(const SimParams& params, mem::AddressSpace& memory, ssr
 }
 
 void FpSubsystem::account(std::uint64_t now, StallCause cause) {
-  switch (cause) {
-    case StallCause::kFpRaw: ++counters_->fpss_stall_raw; break;
-    case StallCause::kFpSsr: ++counters_->fpss_stall_ssr; break;
-    case StallCause::kFpStruct: ++counters_->fpss_stall_struct; break;
-    case StallCause::kFpTcdm: ++counters_->fpss_stall_tcdm; break;
-    case StallCause::kFpCfg: ++counters_->fpss_cfg_cycles; break;
-    case StallCause::kFpIdle: ++counters_->fpss_idle; break;
-    default: throw SimError("integer-core stall cause attributed to the FPSS");
+  if (cause_info(cause).unit != TraceUnit::kFpss) {
+    throw SimError("integer-core stall cause attributed to the FPSS");
   }
+  ++counters_->slot(cause);
   tracer_->record_stall(now, TraceUnit::kFpss, cause);
 }
 

@@ -99,7 +99,7 @@ class FpSubsystem {
     IntWriteback int_wb;
   };
 
-  // Attribute a non-issuing cycle: bumps the matching ActivityCounters field
+  // Attribute a non-issuing cycle: bumps the cause's ActivityCounters slot
   // and, when tracing, records the StallEvent (counters and trace stay in
   // lockstep). FREP replay slots are attributed to the FPSS track too.
   void account(std::uint64_t now, StallCause cause);

@@ -1,100 +1,14 @@
 #include "sim/trace.hpp"
 
-#include "sim/counters.hpp"
-
 #include <map>
 #include <sstream>
 
 namespace copift::sim {
 
-namespace {
-
-struct CauseInfo {
-  const char* name;
-  const char* counter;
-  std::uint64_t ActivityCounters::* field;
-  SlotKind kind;
-  const char* legend;
-};
-
-const CauseInfo& cause_info(StallCause cause) noexcept {
-  static const CauseInfo kInfo[kNumStallCauses] = {
-      // Integer core.
-      {"int/raw", "stall_raw", &ActivityCounters::stall_raw, SlotKind::kStall,
-       "operand not ready (register in flight, incl. waiting on an FPSS int writeback)"},
-      {"int/wb-port", "stall_wb_port", &ActivityCounters::stall_wb_port, SlotKind::kStall,
-       "single RF write port already booked for the result's writeback cycle"},
-      {"int/offload-full", "stall_offload_full", &ActivityCounters::stall_offload_full, SlotKind::kStall,
-       "offload FIFO full (accelerator bus busy; often FREP replay serialization)"},
-      {"int/frontend", "stall_icache", &ActivityCounters::stall_icache, SlotKind::kStall,
-       "L0 I-cache miss / fetch refill penalty"},
-      {"int/branch", "stall_branch", &ActivityCounters::stall_branch, SlotKind::kStall,
-       "bubble after a taken branch or jump"},
-      {"int/div-busy", "stall_div_busy", &ActivityCounters::stall_div_busy, SlotKind::kStall,
-       "iterative divider still occupied by an earlier div/rem"},
-      {"int/tcdm", "stall_tcdm", &ActivityCounters::stall_tcdm, SlotKind::kStall,
-       "lost TCDM bank arbitration (bank conflict)"},
-      {"int/mem-order", "stall_mem_order", &ActivityCounters::stall_mem_order, SlotKind::kStall,
-       "load held back by an overlapping FP store still queued in the FPSS"},
-      {"int/barrier", "stall_barrier", &ActivityCounters::stall_barrier, SlotKind::kStall,
-       "copift.barrier or SSR/FPSS drain wait"},
-      {"int/hw-barrier", "stall_hw_barrier", &ActivityCounters::stall_hw_barrier,
-       SlotKind::kStall, "waiting for the other harts at the inter-hart barrier CSR"},
-      {"int/dma-wait", "stall_dma_wait", &ActivityCounters::stall_dma_wait, SlotKind::kStall,
-       "dmwait: queued DMA transfers still draining (TCDM-local traffic)"},
-      {"int/dma-dram", "stall_dma_dram", &ActivityCounters::stall_dma_dram, SlotKind::kStall,
-       "dmwait: DMA transfer in flight against the DRAM row/bandwidth model"},
-      {"int/offload", "int_offloads", &ActivityCounters::int_offloads, SlotKind::kIssue,
-       "issue slot used to hand an instruction to the FPSS FIFO (retires FP-side)"},
-      {"int/halted", "int_halt_cycles", &ActivityCounters::int_halt_cycles, SlotKind::kIdle,
-       "post-ecall: core halted, cluster draining in-flight FP work"},
-      // FPSS.
-      {"fp/raw", "fpss_stall_raw", &ActivityCounters::fpss_stall_raw, SlotKind::kStall,
-       "FP operand still in flight (RAW/WAW on the FP register file)"},
-      {"fp/ssr", "fpss_stall_ssr", &ActivityCounters::fpss_stall_ssr, SlotKind::kStall,
-       "SSR lane not ready (read stream empty or write stream full)"},
-      {"fp/struct", "fpss_stall_struct", &ActivityCounters::fpss_stall_struct, SlotKind::kStall,
-       "structural: FPU busy (div/sqrt or cfg), FP-RF write port booked, or lane re-arm wait"},
-      {"fp/tcdm", "fpss_stall_tcdm", &ActivityCounters::fpss_stall_tcdm, SlotKind::kStall,
-       "lost TCDM bank arbitration (bank conflict)"},
-      {"fp/cfg", "fpss_cfg_cycles", &ActivityCounters::fpss_cfg_cycles, SlotKind::kIssue,
-       "issue slot used to consume an SSR/FREP configuration entry"},
-      {"fp/idle", "fpss_idle", &ActivityCounters::fpss_idle, SlotKind::kIdle,
-       "offload FIFO empty: integer core has not produced FP work"},
-  };
-  return kInfo[static_cast<unsigned>(cause)];
-}
-
-}  // namespace
-
-SlotKind slot_kind(StallCause cause) noexcept { return cause_info(cause).kind; }
-
-const char* stall_cause_name(StallCause cause) noexcept { return cause_info(cause).name; }
-
-const char* stall_cause_counter_name(StallCause cause) noexcept {
-  return cause_info(cause).counter;
-}
-
-std::uint64_t stall_cause_counter_value(const ActivityCounters& counters,
-                                        StallCause cause) noexcept {
-  return counters.*cause_info(cause).field;
-}
-
-const char* trace_unit_name(TraceUnit unit) noexcept {
-  switch (unit) {
-    case TraceUnit::kIntCore: return "int core";
-    case TraceUnit::kFpss: return "fpss";
-    case TraceUnit::kFrepReplay: return "frep replay";
-  }
-  return "?";
-}
-
 std::string stall_taxonomy_legend() {
   std::ostringstream os;
   os << "stall taxonomy (cause -> counter field: meaning):\n";
-  for (unsigned i = 0; i < kNumStallCauses; ++i) {
-    const auto cause = static_cast<StallCause>(i);
-    const CauseInfo& info = cause_info(cause);
+  for (const CauseInfo& info : kCauseInfo) {
     const char* kind = info.kind == SlotKind::kStall  ? "stall"
                        : info.kind == SlotKind::kIssue ? "issue"
                                                        : "idle ";

@@ -22,58 +22,13 @@
 #include <vector>
 
 #include "isa/instr.hpp"
+#include "sim/stall_cause.hpp"
 
 namespace copift::sim {
 
-enum class TraceUnit : std::uint8_t { kIntCore, kFpss, kFrepReplay };
-
-/// Why a unit's issue slot did not retire an instruction this cycle. The
-/// first group are integer-core causes, the second FPSS causes; each maps
-/// 1:1 onto an ActivityCounters field (see stall_cause_counter_name()).
-enum class StallCause : std::uint8_t {
-  // Integer core.
-  kIntRaw,          // operand not ready (incl. waiting on an FPSS writeback)
-  kIntWbPort,       // single RF write port already booked for the result cycle
-  kIntOffloadFull,  // accelerator bus busy: offload FIFO full (often FREP replay serialization)
-  kIntFrontend,     // L0 I$ miss / fetch penalty
-  kIntBranch,       // taken-branch or jump bubble
-  kIntDivBusy,      // iterative divider occupied by an earlier div/rem
-  kIntTcdm,         // lost TCDM bank arbitration
-  kIntMemOrder,     // load held back by an overlapping queued FP store
-  kIntBarrier,      // copift.barrier / FPSS or SSR drain wait
-  kIntHwBarrier,    // waiting for the other harts at the hardware barrier CSR
-  kIntDmaWait,      // dmwait: queued DMA transfers still draining (TCDM-local)
-  kIntDmaDram,      // dmwait: DMA transfer in flight against the DRAM model
-  kIntOffload,      // occupied: instruction handed to the FPSS FIFO this cycle
-  kIntHalted,       // idle: post-ecall, waiting for FP work to drain
-  // FPSS.
-  kFpRaw,           // FP operand in flight (RAW/WAW on the FP register file)
-  kFpSsr,           // SSR lane empty (read) or full (write)
-  kFpStruct,        // FPU busy, FP-RF write port booked, or lane re-arm wait
-  kFpTcdm,          // lost TCDM bank arbitration
-  kFpCfg,           // occupied: SSR/FREP config entry consumed this cycle
-  kFpIdle,          // idle: offload FIFO empty, nothing to do
-};
-
-/// Coarse classification of a StallCause for reports and trace coloring.
-enum class SlotKind : std::uint8_t { kIssue, kStall, kIdle };
-
-struct ActivityCounters;
-
-[[nodiscard]] SlotKind slot_kind(StallCause cause) noexcept;
-[[nodiscard]] const char* stall_cause_name(StallCause cause) noexcept;
-/// Name of the ActivityCounters field the cause accumulates into.
-[[nodiscard]] const char* stall_cause_counter_name(StallCause cause) noexcept;
-/// Value of that field — the taxonomy table owns the cause->field mapping,
-/// so consumers (and tests) can iterate all causes without hand-kept lists.
-[[nodiscard]] std::uint64_t stall_cause_counter_value(const ActivityCounters& counters,
-                                                     StallCause cause) noexcept;
-[[nodiscard]] const char* trace_unit_name(TraceUnit unit) noexcept;
 /// One-line-per-cause legend of the whole taxonomy (printed by
 /// `copift_sim --report` so the output is self-describing).
 [[nodiscard]] std::string stall_taxonomy_legend();
-
-constexpr unsigned kNumStallCauses = static_cast<unsigned>(StallCause::kFpIdle) + 1;
 
 struct TraceEntry {
   std::uint64_t cycle = 0;
@@ -99,7 +54,7 @@ class Tracer {
   }
 
   /// Attribute a non-retiring cycle of `unit` to `cause`. Called by the
-  /// units in lockstep with the ActivityCounters stall fields, so with
+  /// units in lockstep with the ActivityCounters slot counters, so with
   /// tracing on, entries + stalls cover every cycle of every unit once.
   void record_stall(std::uint64_t cycle, TraceUnit unit, StallCause cause) {
     if (!enabled_) return;

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <array>
 #include <cstdio>
+#include <cstring>
 #include <map>
 #include <ostream>
 #include <sstream>
@@ -74,13 +75,6 @@ void write_event_prefix(std::ostream& os, bool& first) {
   os << "    ";
 }
 
-struct UnitTotals {
-  std::uint64_t issue = 0;
-  std::uint64_t stall = 0;
-  std::uint64_t idle = 0;
-  [[nodiscard]] std::uint64_t total() const { return issue + stall + idle; }
-};
-
 double pct(std::uint64_t part, std::uint64_t whole) {
   return whole == 0 ? 0.0 : 100.0 * static_cast<double>(part) / static_cast<double>(whole);
 }
@@ -91,15 +85,22 @@ void append_bar(std::string& line, double percent) {
   line.append(ticks, '#');
 }
 
-void append_cause_row(std::string& out, const char* label, std::uint64_t value,
-                      std::uint64_t total) {
-  char buf[96];
-  std::snprintf(buf, sizeof(buf), "    %-18s %10llu  %5.1f%%", label,
-                static_cast<unsigned long long>(value), pct(value, total));
-  std::string line(buf);
-  append_bar(line, pct(value, total));
-  out += line;
-  out += '\n';
+/// One row per stall-kind cause of `unit`, labelled by its taxonomy name
+/// without the unit prefix ("raw", "dma-dram", ...).
+void append_breakdown(std::string& out, const char* header, const ActivityCounters& c,
+                      TraceUnit unit, std::uint64_t total) {
+  out += header;
+  for (const CauseInfo& info : kCauseInfo) {
+    if (info.unit != unit || info.kind != SlotKind::kStall) continue;
+    const std::uint64_t value = c.slot(info.cause);
+    char buf[96];
+    std::snprintf(buf, sizeof(buf), "    %-18s %10llu  %5.1f%%", std::strchr(info.name, '/') + 1,
+                  static_cast<unsigned long long>(value), pct(value, total));
+    std::string line(buf);
+    append_bar(line, pct(value, total));
+    out += line;
+    out += '\n';
+  }
 }
 
 /// Emit one tracer's metadata + events as track group `pid` (Perfetto shows
@@ -143,9 +144,9 @@ void write_tracer_group(std::ostream& os, bool& first, const Tracer& tracer, uns
     for (const Slice& s : merge_stalls(tracer.stalls(), unit)) {
       write_event_prefix(os, first);
       os << "{\"ph\":\"X\",\"pid\":" << pid << ",\"tid\":" << tid << ",\"ts\":" << s.start
-         << ",\"dur\":" << s.dur << ",\"cat\":\"" << slot_category(slot_kind(s.cause))
+         << ",\"dur\":" << s.dur << ",\"cat\":\"" << slot_category(cause_info(s.cause).kind)
          << "\",\"name\":";
-      write_json_string(os, stall_cause_name(s.cause));
+      write_json_string(os, cause_info(s.cause).name);
       os << ",\"args\":{\"cycles\":" << s.dur << "}}";
     }
   }
@@ -192,8 +193,9 @@ std::string render_hart_summary(const Cluster& cluster) {
                   static_cast<unsigned long long>(c.retired()),
                   static_cast<unsigned long long>(c.int_retired),
                   static_cast<unsigned long long>(c.fp_retired),
-                  static_cast<unsigned long long>(c.stall_tcdm + c.fpss_stall_tcdm),
-                  static_cast<unsigned long long>(c.stall_hw_barrier));
+                  static_cast<unsigned long long>(c.slot(StallCause::kIntTcdm) +
+                                                  c.slot(StallCause::kFpTcdm)),
+                  static_cast<unsigned long long>(c.slot(StallCause::kIntHwBarrier)));
     out += buf;
   }
   return out;
@@ -220,44 +222,35 @@ std::string render_report(const Tracer& tracer, const ActivityCounters& counters
   out += buf;
 
   // --- integer core ---------------------------------------------------------
-  const UnitTotals it{c.int_issue_cycles(), c.int_stall_cycles(), c.int_halt_cycles};
+  const auto unit_pct = [&](TraceUnit unit, SlotKind kind) {
+    return pct(c.unit_cycles(unit, kind), slots);
+  };
   std::snprintf(buf, sizeof(buf),
                 "\nint core   issue %5.1f%%  stall %5.1f%%  halted %5.1f%%   "
                 "(retired %llu, offloaded %llu)\n",
-                pct(it.issue, slots), pct(it.stall, slots), pct(it.idle, slots),
+                unit_pct(TraceUnit::kIntCore, SlotKind::kIssue),
+                unit_pct(TraceUnit::kIntCore, SlotKind::kStall),
+                unit_pct(TraceUnit::kIntCore, SlotKind::kIdle),
                 static_cast<unsigned long long>(c.int_retired),
-                static_cast<unsigned long long>(c.int_offloads));
+                static_cast<unsigned long long>(c.slot(StallCause::kIntOffload)));
   out += buf;
   const char* breakdown_header = num_harts > 1
                                      ? "  stall breakdown (% of all issue slots):\n"
                                      : "  stall breakdown (% of all cycles):\n";
-  out += breakdown_header;
-  append_cause_row(out, "raw", c.stall_raw, slots);
-  append_cause_row(out, "wb-port", c.stall_wb_port, slots);
-  append_cause_row(out, "offload-full", c.stall_offload_full, slots);
-  append_cause_row(out, "frontend", c.stall_icache, slots);
-  append_cause_row(out, "branch", c.stall_branch, slots);
-  append_cause_row(out, "div-busy", c.stall_div_busy, slots);
-  append_cause_row(out, "tcdm", c.stall_tcdm, slots);
-  append_cause_row(out, "mem-order", c.stall_mem_order, slots);
-  append_cause_row(out, "barrier", c.stall_barrier, slots);
-  append_cause_row(out, "hw-barrier", c.stall_hw_barrier, slots);
+  append_breakdown(out, breakdown_header, c, TraceUnit::kIntCore, slots);
 
   // --- FPSS -----------------------------------------------------------------
-  const UnitTotals ft{c.fpss_issue_cycles(), c.fpss_stall_cycles(), c.fpss_idle};
   std::snprintf(buf, sizeof(buf),
                 "\nfpss       issue %5.1f%%  stall %5.1f%%  idle %5.1f%%     "
                 "(retired %llu, of which %llu FREP replays; cfg %llu)\n",
-                pct(ft.issue, slots), pct(ft.stall, slots), pct(ft.idle, slots),
+                unit_pct(TraceUnit::kFpss, SlotKind::kIssue),
+                unit_pct(TraceUnit::kFpss, SlotKind::kStall),
+                unit_pct(TraceUnit::kFpss, SlotKind::kIdle),
                 static_cast<unsigned long long>(c.fp_retired),
                 static_cast<unsigned long long>(c.frep_replays),
-                static_cast<unsigned long long>(c.fpss_cfg_cycles));
+                static_cast<unsigned long long>(c.slot(StallCause::kFpCfg)));
   out += buf;
-  out += breakdown_header;
-  append_cause_row(out, "raw", c.fpss_stall_raw, slots);
-  append_cause_row(out, "ssr", c.fpss_stall_ssr, slots);
-  append_cause_row(out, "struct", c.fpss_stall_struct, slots);
-  append_cause_row(out, "tcdm", c.fpss_stall_tcdm, slots);
+  append_breakdown(out, breakdown_header, c, TraceUnit::kFpss, slots);
 
   // --- trace-derived sections ----------------------------------------------
   if (!tracer.enabled()) {

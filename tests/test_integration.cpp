@@ -3,13 +3,18 @@
 // reproduces the paper's qualitative performance claims.
 #include <gtest/gtest.h>
 
+#include <string>
+#include <string_view>
+
+#include "kernels/kernels.hpp"
 #include "kernels/runner.hpp"
+#include "workload/workload.hpp"
 
 namespace copift::kernels {
 namespace {
 
 struct Case {
-  KernelId id;
+  std::string_view name;
   Variant variant;
   std::uint32_t n;
   std::uint32_t block;
@@ -18,7 +23,7 @@ struct Case {
 
 std::string case_name(const ::testing::TestParamInfo<Case>& info) {
   const auto& c = info.param;
-  std::string name = kernel_name(c.id);
+  std::string name(c.name);
   for (auto& ch : name) {
     if (ch == '-' || ch == '+') ch = '_';
   }
@@ -35,7 +40,7 @@ TEST_P(KernelCase, RunsAndVerifies) {
   cfg.n = c.n;
   cfg.block = c.block;
   cfg.seed = c.seed;
-  const KernelRun run = run_kernel(generate(c.id, c.variant, cfg));
+  const KernelRun run = run_kernel(workload::generate(c.name, c.variant, cfg));
   EXPECT_TRUE(run.verified);
   EXPECT_TRUE(run.result.halted);
   // Physical sanity: IPC in (0, 2], power positive and plausible.
@@ -50,17 +55,17 @@ TEST_P(KernelCase, RunsAndVerifies) {
 
 std::vector<Case> all_cases() {
   std::vector<Case> cases;
-  for (const auto id : kAllKernels) {
+  for (const auto name : kPaperWorkloads) {
     for (const auto v : {Variant::kBaseline, Variant::kCopift}) {
-      cases.push_back({id, v, 256, 32, 42});
-      cases.push_back({id, v, 512, 64, 1});
+      cases.push_back({name, v, 256, 32, 42});
+      cases.push_back({name, v, 512, 64, 1});
     }
     // Extra seeds for the Monte Carlo kernels (bit-exact hit counts).
-    if (!is_transcendental(id)) {
-      cases.push_back({id, Variant::kCopift, 384, 48, 1234567});
-      cases.push_back({id, Variant::kBaseline, 384, 48, 1234567});
+    if (!is_transcendental(name)) {
+      cases.push_back({name, Variant::kCopift, 384, 48, 1234567});
+      cases.push_back({name, Variant::kBaseline, 384, 48, 1234567});
     } else {
-      cases.push_back({id, Variant::kCopift, 384, 48, 99});
+      cases.push_back({name, Variant::kCopift, 384, 48, 99});
     }
   }
   return cases;
@@ -73,11 +78,11 @@ TEST(Integration, CopiftBeatsBaselineOnEveryKernel) {
   KernelConfig cfg;
   cfg.n = 768;
   cfg.block = 96;
-  for (const auto id : kAllKernels) {
-    const auto base = run_kernel(generate(id, Variant::kBaseline, cfg));
-    const auto cop = run_kernel(generate(id, Variant::kCopift, cfg));
-    EXPECT_LT(cop.region.cycles, base.region.cycles) << kernel_name(id);
-    EXPECT_GT(cop.ipc(), 1.0) << kernel_name(id);  // sustained dual-issue
+  for (const auto name : kPaperWorkloads) {
+    const auto base = run_kernel(workload::generate(name, Variant::kBaseline, cfg));
+    const auto cop = run_kernel(workload::generate(name, Variant::kCopift, cfg));
+    EXPECT_LT(cop.region.cycles, base.region.cycles) << name;
+    EXPECT_GT(cop.ipc(), 1.0) << name;  // sustained dual-issue
   }
 }
 
@@ -85,13 +90,13 @@ TEST(Integration, CopiftSavesEnergyOnEveryKernel) {
   KernelConfig cfg;
   cfg.n = 768;
   cfg.block = 96;
-  for (const auto id : kAllKernels) {
-    const auto base = run_kernel(generate(id, Variant::kBaseline, cfg));
-    const auto cop = run_kernel(generate(id, Variant::kCopift, cfg));
-    EXPECT_LT(cop.energy_nj(), base.energy_nj()) << kernel_name(id);
+  for (const auto name : kPaperWorkloads) {
+    const auto base = run_kernel(workload::generate(name, Variant::kBaseline, cfg));
+    const auto cop = run_kernel(workload::generate(name, Variant::kCopift, cfg));
+    EXPECT_LT(cop.energy_nj(), base.energy_nj()) << name;
     // Power increase stays within the paper's bound (max 1.17x).
-    EXPECT_LT(cop.power_mw() / base.power_mw(), 1.20) << kernel_name(id);
-    EXPECT_GE(cop.power_mw() / base.power_mw(), 0.97) << kernel_name(id);
+    EXPECT_LT(cop.power_mw() / base.power_mw(), 1.20) << name;
+    EXPECT_GE(cop.power_mw() / base.power_mw(), 0.97) << name;
   }
 }
 
@@ -99,8 +104,8 @@ TEST(Integration, SteadyStateMetricsMatchPaperShape) {
   KernelConfig cfg;
   cfg.block = 96;
   // exp: the paper's peak speedup (2.05x) and peak energy saving (1.93x).
-  const auto exp = steady_metrics(KernelId::kExp, Variant::kCopift, cfg, 960, 1920);
-  const auto exp_base = steady_metrics(KernelId::kExp, Variant::kBaseline, cfg, 960, 1920);
+  const auto exp = steady_metrics("exp", Variant::kCopift, cfg, 960, 1920);
+  const auto exp_base = steady_metrics("exp", Variant::kBaseline, cfg, 960, 1920);
   const double exp_speedup = exp_base.cycles_per_item / exp.cycles_per_item;
   EXPECT_GT(exp_speedup, 1.7);
   EXPECT_LT(exp_speedup, 2.3);
@@ -115,7 +120,7 @@ TEST(Integration, RegionDeltasAreConsistent) {
   KernelConfig cfg;
   cfg.n = 256;
   cfg.block = 32;
-  const auto run = run_kernel(generate(KernelId::kPiLcg, Variant::kCopift, cfg));
+  const auto run = run_kernel(workload::generate("pi_lcg", Variant::kCopift, cfg));
   EXPECT_LE(run.region.cycles, run.total.cycles);
   EXPECT_LE(run.region.retired(), run.total.retired());
   EXPECT_EQ(run.region.retired(), run.region.int_retired + run.region.fp_retired);
@@ -128,7 +133,7 @@ TEST(Integration, SeedChangesResultsButStaysVerified) {
   cfg.block = 32;
   for (std::uint32_t seed : {3u, 17u, 909u}) {
     cfg.seed = seed;
-    const auto run = run_kernel(generate(KernelId::kPolyXoshiro, Variant::kCopift, cfg));
+    const auto run = run_kernel(workload::generate("poly_xoshiro128p", Variant::kCopift, cfg));
     EXPECT_TRUE(run.verified);
   }
 }
@@ -143,8 +148,8 @@ TEST(Integration, LargerBlocksAmortizeOverheads) {
   KernelConfig big;
   big.n = 12288;
   big.block = 96;
-  const auto s = run_kernel(generate(KernelId::kPolyLcg, Variant::kCopift, small));
-  const auto b = run_kernel(generate(KernelId::kPolyLcg, Variant::kCopift, big));
+  const auto s = run_kernel(workload::generate("poly_lcg", Variant::kCopift, small));
+  const auto b = run_kernel(workload::generate("poly_lcg", Variant::kCopift, big));
   EXPECT_GT(b.ipc(), s.ipc());
 }
 
@@ -157,8 +162,8 @@ TEST(Integration, SmallProblemsFavorSmallBlocks) {
   KernelConfig big;
   big.n = 768;
   big.block = 192;
-  const auto s = run_kernel(generate(KernelId::kPolyLcg, Variant::kCopift, small));
-  const auto b = run_kernel(generate(KernelId::kPolyLcg, Variant::kCopift, big));
+  const auto s = run_kernel(workload::generate("poly_lcg", Variant::kCopift, small));
+  const auto b = run_kernel(workload::generate("poly_lcg", Variant::kCopift, big));
   EXPECT_GT(s.ipc(), b.ipc());
 }
 
@@ -170,8 +175,8 @@ TEST(Integration, LargerProblemsRaiseIpc) {
   KernelConfig big;
   big.n = 3072;
   big.block = 48;
-  const auto s = run_kernel(generate(KernelId::kPolyLcg, Variant::kCopift, small));
-  const auto b = run_kernel(generate(KernelId::kPolyLcg, Variant::kCopift, big));
+  const auto s = run_kernel(workload::generate("poly_lcg", Variant::kCopift, small));
+  const auto b = run_kernel(workload::generate("poly_lcg", Variant::kCopift, big));
   EXPECT_GT(b.ipc(), s.ipc());
 }
 
@@ -179,8 +184,8 @@ TEST(Integration, DmaActiveOnlyInTranscendentalKernels) {
   KernelConfig cfg;
   cfg.n = 256;
   cfg.block = 32;
-  const auto exp = run_kernel(generate(KernelId::kExp, Variant::kBaseline, cfg));
-  const auto mc = run_kernel(generate(KernelId::kPiLcg, Variant::kBaseline, cfg));
+  const auto exp = run_kernel(workload::generate("exp", Variant::kBaseline, cfg));
+  const auto mc = run_kernel(workload::generate("pi_lcg", Variant::kBaseline, cfg));
   EXPECT_GT(exp.total.dma_busy_cycles, 0u);
   EXPECT_EQ(mc.total.dma_busy_cycles, 0u);
 }
@@ -190,8 +195,8 @@ TEST(Integration, BaselineThrashesL0CopiftIntLoopFits) {
   KernelConfig cfg;
   cfg.n = 768;
   cfg.block = 96;
-  const auto base = run_kernel(generate(KernelId::kExp, Variant::kBaseline, cfg));
-  const auto cop = run_kernel(generate(KernelId::kExp, Variant::kCopift, cfg));
+  const auto base = run_kernel(workload::generate("exp", Variant::kBaseline, cfg));
+  const auto cop = run_kernel(workload::generate("exp", Variant::kCopift, cfg));
   const double base_refill_rate =
       static_cast<double>(base.region.l0_refills) / static_cast<double>(base.region.cycles);
   const double cop_refill_rate =

@@ -5,6 +5,7 @@
 #include <random>
 
 #include "common/error.hpp"
+#include "isa/eval.hpp"
 #include "isa/reg.hpp"
 
 namespace copift::isa {
@@ -212,6 +213,87 @@ TEST(IsaDisasm, ReadableOutput) {
   EXPECT_EQ(disassemble({Mnemonic::kLw, 10, 2, 0, 0, 16}), "lw a0, 16(sp)");
   EXPECT_EQ(disassemble({Mnemonic::kCopiftBarrier, 0, 0, 0, 0, 0}), "copift.barrier");
 }
+
+// --- the shared RV32IM evaluator against the spec ----------------------------
+// Compile-time checks: the simulator and rvlint both execute through
+// alu_result/branch_taken, so a wrong result here fails the build.
+
+constexpr std::uint32_t kIntMin = 0x8000'0000U;
+constexpr std::uint32_t kIntMax = 0x7FFF'FFFFU;
+constexpr std::uint32_t kAllOnes = 0xFFFF'FFFFU;  // -1
+
+constexpr std::uint32_t rr(Mnemonic m, std::uint32_t a, std::uint32_t b) {
+  return alu_result(m, a, b, 0, 0);
+}
+constexpr std::uint32_t ri(Mnemonic m, std::uint32_t a, std::int32_t imm) {
+  return alu_result(m, a, 0, imm, 0);
+}
+constexpr std::uint32_t neg(std::uint32_t v) { return 0U - v; }
+
+// Division by zero: the quotient is all ones, the remainder the dividend.
+static_assert(rr(Mnemonic::kDiv, 7, 0) == kAllOnes);
+static_assert(rr(Mnemonic::kDiv, kIntMin, 0) == kAllOnes);
+static_assert(rr(Mnemonic::kDivu, 7, 0) == kAllOnes);
+static_assert(rr(Mnemonic::kRem, neg(7), 0) == neg(7));
+static_assert(rr(Mnemonic::kRemu, 7, 0) == 7);
+// Signed overflow: INT_MIN / -1 = INT_MIN and INT_MIN % -1 = 0; the same
+// bits divide as unsigned values in divu/remu.
+static_assert(rr(Mnemonic::kDiv, kIntMin, kAllOnes) == kIntMin);
+static_assert(rr(Mnemonic::kRem, kIntMin, kAllOnes) == 0);
+static_assert(rr(Mnemonic::kDivu, kIntMin, kAllOnes) == 0);
+static_assert(rr(Mnemonic::kRemu, kIntMin, kAllOnes) == kIntMin);
+// Signed division truncates toward zero; the remainder takes the dividend's sign.
+static_assert(rr(Mnemonic::kDiv, neg(7), 2) == neg(3));
+static_assert(rr(Mnemonic::kRem, neg(7), 2) == neg(1));
+static_assert(rr(Mnemonic::kRem, 7, neg(2)) == 1);
+
+// High words of the 64-bit product, with negative operands: mulh reads both
+// signed, mulhsu rs1 signed and rs2 unsigned, mulhu both unsigned.
+static_assert(rr(Mnemonic::kMul, neg(3), 5) == neg(15));
+static_assert(rr(Mnemonic::kMulh, kAllOnes, kAllOnes) == 0);         // -1 * -1 = 1
+static_assert(rr(Mnemonic::kMulh, neg(2), 3) == kAllOnes);           // -6
+static_assert(rr(Mnemonic::kMulh, kIntMin, kIntMin) == 0x4000'0000U);  // 2^62
+static_assert(rr(Mnemonic::kMulhsu, kAllOnes, kAllOnes) == kAllOnes);  // -(2^32 - 1)
+static_assert(rr(Mnemonic::kMulhsu, 2, kAllOnes) == 1);              // 2^33 - 2
+static_assert(rr(Mnemonic::kMulhsu, kIntMin, kAllOnes) == kIntMin);  // -2^63 + 2^31
+static_assert(rr(Mnemonic::kMulhu, kAllOnes, kAllOnes) == 0xFFFF'FFFEU);
+static_assert(rr(Mnemonic::kMulhu, kIntMin, 2) == 1);
+static_assert(rr(Mnemonic::kMulh, kIntMin, 2) == kAllOnes);
+
+// Shift amounts use their low five bits: 32 shifts by 0, 33 by 1.
+static_assert(rr(Mnemonic::kSll, 1, 32) == 1);
+static_assert(rr(Mnemonic::kSll, 1, 33) == 2);
+static_assert(rr(Mnemonic::kSrl, kIntMin, 63) == 1);
+static_assert(rr(Mnemonic::kSra, kIntMin, 36) == 0xF800'0000U);
+static_assert(rr(Mnemonic::kSrl, kIntMin, 36) == 0x0800'0000U);
+static_assert(ri(Mnemonic::kSlli, 1, 35) == 8);
+static_assert(ri(Mnemonic::kSrai, kIntMin, 31) == kAllOnes);
+
+// slt compares signed, sltu unsigned: they disagree across the sign boundary.
+static_assert(rr(Mnemonic::kSlt, kAllOnes, 0) == 1);
+static_assert(rr(Mnemonic::kSltu, kAllOnes, 0) == 0);
+static_assert(rr(Mnemonic::kSlt, kIntMax, kIntMin) == 0);
+static_assert(rr(Mnemonic::kSltu, kIntMax, kIntMin) == 1);
+static_assert(ri(Mnemonic::kSlti, kAllOnes, 0) == 1);
+static_assert(ri(Mnemonic::kSltiu, kIntMin, -1) == 1);  // the immediate sign-extends to -1
+static_assert(ri(Mnemonic::kSltiu, kAllOnes, -1) == 0);
+
+// lui/auipc place the immediate in the upper 20 bits; auipc adds the pc.
+static_assert(ri(Mnemonic::kLui, 0, 0x12345) == 0x1234'5000U);
+static_assert(alu_result(Mnemonic::kAuipc, 0, 0, 1, 0x100) == 0x1100);
+
+/// Whether `m` is taken on equal operands (5, 5), across the signed
+/// boundary (-1 vs 1) and across the unsigned boundary (INT_MAX vs INT_MIN).
+constexpr bool taken_on(Mnemonic m, bool equal, bool signed_cross, bool unsigned_cross) {
+  return branch_taken(m, 5, 5) == equal && branch_taken(m, kAllOnes, 1) == signed_cross &&
+         branch_taken(m, kIntMax, kIntMin) == unsigned_cross;
+}
+static_assert(taken_on(Mnemonic::kBeq, true, false, false));
+static_assert(taken_on(Mnemonic::kBne, false, true, true));
+static_assert(taken_on(Mnemonic::kBlt, false, true, false));
+static_assert(taken_on(Mnemonic::kBge, true, false, true));
+static_assert(taken_on(Mnemonic::kBltu, false, false, true));
+static_assert(taken_on(Mnemonic::kBgeu, true, true, false));
 
 }  // namespace
 }  // namespace copift::isa

@@ -188,9 +188,9 @@ TEST(Generators, AllVariantsProduceAssembly) {
   KernelConfig cfg;
   cfg.n = 64;
   cfg.block = 16;
-  for (const auto id : kAllKernels) {
+  for (const auto name : kPaperWorkloads) {
     for (const auto v : {Variant::kBaseline, Variant::kCopift}) {
-      const auto g = generate(id, v, cfg);
+      const auto g = workload::generate(name, v, cfg);
       EXPECT_FALSE(g.source.empty());
       EXPECT_NE(g.source.find("_start"), std::string::npos);
       EXPECT_NE(g.source.find("body_begin"), std::string::npos);
@@ -203,18 +203,18 @@ TEST(Generators, CopiftUsesPaperMechanisms) {
   KernelConfig cfg;
   cfg.n = 64;
   cfg.block = 16;
-  for (const auto id : kAllKernels) {
-    const auto g = generate(id, Variant::kCopift, cfg);
-    EXPECT_NE(g.source.find("frep.o"), std::string::npos) << kernel_name(id);
-    EXPECT_NE(g.source.find("scfgwi"), std::string::npos) << kernel_name(id);
-    EXPECT_NE(g.source.find("copift.barrier"), std::string::npos) << kernel_name(id);
+  for (const auto name : kPaperWorkloads) {
+    const auto g = workload::generate(name, Variant::kCopift, cfg);
+    EXPECT_NE(g.source.find("frep.o"), std::string::npos) << name;
+    EXPECT_NE(g.source.find("scfgwi"), std::string::npos) << name;
+    EXPECT_NE(g.source.find("copift.barrier"), std::string::npos) << name;
   }
   // MC kernels use the Xcopift conversions/comparisons.
-  const auto mc = generate(KernelId::kPiLcg, Variant::kCopift, cfg);
+  const auto mc = workload::generate("pi_lcg", Variant::kCopift, cfg);
   EXPECT_NE(mc.source.find("fcvt.d.wu.cop"), std::string::npos);
   EXPECT_NE(mc.source.find("flt.d.cop"), std::string::npos);
   // log uses the ISSR and fcvt.d.w.cop (paper Table I footnotes * and ‡).
-  const auto lg = generate(KernelId::kLog, Variant::kCopift, cfg);
+  const auto lg = workload::generate("log", Variant::kCopift, cfg);
   EXPECT_NE(lg.source.find("fcvt.d.w.cop"), std::string::npos);
 }
 
@@ -222,13 +222,13 @@ TEST(Generators, InvalidConfigsThrow) {
   KernelConfig cfg;
   cfg.n = 100;  // not a multiple of block
   cfg.block = 32;
-  EXPECT_THROW(generate(KernelId::kExp, Variant::kCopift, cfg), copift::Error);
+  EXPECT_THROW(workload::generate("exp", Variant::kCopift, cfg), copift::Error);
   cfg.n = 32;
   cfg.block = 32;  // single block
-  EXPECT_THROW(generate(KernelId::kExp, Variant::kCopift, cfg), copift::Error);
+  EXPECT_THROW(workload::generate("exp", Variant::kCopift, cfg), copift::Error);
   cfg.n = 30;  // not a multiple of the MC unroll
   cfg.block = 30;
-  EXPECT_THROW(generate(KernelId::kPiLcg, Variant::kBaseline, cfg), copift::Error);
+  EXPECT_THROW(workload::generate("pi_lcg", Variant::kBaseline, cfg), copift::Error);
 }
 
 TEST(Inputs, DeterministicPerSeed) {

@@ -8,7 +8,6 @@
 namespace copift::core {
 namespace {
 
-using kernels::KernelId;
 using kernels::Variant;
 
 TEST(Model, ThreadImbalanceDefinition) {
@@ -69,17 +68,17 @@ TEST(Model, GeneratedKernelMixesMatchPaperOrdering) {
   kernels::KernelConfig cfg;
   cfg.n = 256;
   cfg.block = 32;
-  const auto ti = [&](KernelId id) {
-    const auto g = kernels::generate(id, Variant::kBaseline, cfg);
+  const auto ti = [&](std::string_view name) {
+    const auto g = workload::generate(name, Variant::kBaseline, cfg);
     const auto program = rvasm::assemble(g.source);
     return count_mix(program, "body_begin", "body_end").thread_imbalance();
   };
-  const double exp_ti = ti(KernelId::kExp);
-  const double log_ti = ti(KernelId::kLog);
-  const double poly_lcg_ti = ti(KernelId::kPolyLcg);
-  const double pi_lcg_ti = ti(KernelId::kPiLcg);
-  const double poly_x_ti = ti(KernelId::kPolyXoshiro);
-  const double pi_x_ti = ti(KernelId::kPiXoshiro);
+  const double exp_ti = ti("exp");
+  const double log_ti = ti("log");
+  const double poly_lcg_ti = ti("poly_lcg");
+  const double pi_lcg_ti = ti("pi_lcg");
+  const double poly_x_ti = ti("poly_xoshiro128p");
+  const double pi_x_ti = ti("pi_xoshiro128p");
   EXPECT_LT(pi_x_ti, poly_x_ti);
   EXPECT_LT(poly_x_ti, poly_lcg_ti);
   EXPECT_LT(poly_lcg_ti, pi_lcg_ti);
@@ -98,27 +97,27 @@ TEST(Model, BaselineInstructionCountsNearPaper) {
   kernels::KernelConfig cfg;
   cfg.n = 256;
   cfg.block = 32;
-  const auto mix_of = [&](KernelId id) {
-    const auto g = kernels::generate(id, Variant::kBaseline, cfg);
+  const auto mix_of = [&](std::string_view name) {
+    const auto g = workload::generate(name, Variant::kBaseline, cfg);
     return count_mix(rvasm::assemble(g.source), "body_begin", "body_end");
   };
   // exp: paper 43 int / 52 FP per 4-element body.
-  const InstrMix exp = mix_of(KernelId::kExp);
+  const InstrMix exp = mix_of("exp");
   EXPECT_NEAR(static_cast<double>(exp.n_int), 43, 2);
   EXPECT_EQ(exp.n_fp, 52u);
   // log: paper 39 int / 52 FP.
-  const InstrMix log = mix_of(KernelId::kLog);
+  const InstrMix log = mix_of("log");
   EXPECT_NEAR(static_cast<double>(log.n_int), 39, 5);
   EXPECT_EQ(log.n_fp, 52u);
   // pi_lcg: paper 44 int / 56 FP per 8 samples.
-  const InstrMix pi = mix_of(KernelId::kPiLcg);
+  const InstrMix pi = mix_of("pi_lcg");
   EXPECT_NEAR(static_cast<double>(pi.n_int), 44, 3);
   EXPECT_EQ(pi.n_fp, 56u);
   // poly_lcg: paper 44 int / 80 FP.
-  const InstrMix poly = mix_of(KernelId::kPolyLcg);
+  const InstrMix poly = mix_of("poly_lcg");
   EXPECT_EQ(poly.n_fp, 80u);
   // pi_xoshiro: paper 172 int / 56 FP.
-  const InstrMix pix = mix_of(KernelId::kPiXoshiro);
+  const InstrMix pix = mix_of("pi_xoshiro128p");
   EXPECT_NEAR(static_cast<double>(pix.n_int), 172, 6);
   EXPECT_EQ(pix.n_fp, 56u);
 }
@@ -131,22 +130,22 @@ TEST(Model, SPrimePredictsMeaningfulSpeedups) {
   kernels::KernelConfig cfg;
   cfg.n = 512;
   cfg.block = 64;
-  for (const auto id : kernels::kAllKernels) {
-    const auto base = kernels::run_kernel(kernels::generate(id, Variant::kBaseline, cfg));
-    const auto cop = kernels::run_kernel(kernels::generate(id, Variant::kCopift, cfg));
+  for (const auto name : kernels::kPaperWorkloads) {
+    const auto base = kernels::run_kernel(workload::generate(name, Variant::kBaseline, cfg));
+    const auto cop = kernels::run_kernel(workload::generate(name, Variant::kCopift, cfg));
     SpeedupModel m;
     m.base = {base.region.int_retired, base.region.fp_retired};
     m.copift = {cop.region.int_retired, cop.region.fp_retired};
-    EXPECT_GT(m.s_prime(), 1.0) << kernels::kernel_name(id);
-    EXPECT_LT(m.s_prime(), 2.6) << kernels::kernel_name(id);
-    EXPECT_GT(m.i_prime(), 1.0) << kernels::kernel_name(id);
-    EXPECT_LE(m.i_prime(), 2.0) << kernels::kernel_name(id);
+    EXPECT_GT(m.s_prime(), 1.0) << name;
+    EXPECT_LT(m.s_prime(), 2.6) << name;
+    EXPECT_GT(m.i_prime(), 1.0) << name;
+    EXPECT_LE(m.i_prime(), 2.0) << name;
     // The analytical S' brackets the measured speedup within ~35%
     // (paper Fig. 2c shows the same qualitative agreement).
     const double measured = static_cast<double>(base.region.cycles) /
                             static_cast<double>(cop.region.cycles);
-    EXPECT_GT(measured, 0.6 * m.s_prime()) << kernels::kernel_name(id);
-    EXPECT_LT(measured, 1.45 * m.s_prime()) << kernels::kernel_name(id);
+    EXPECT_GT(measured, 0.6 * m.s_prime()) << name;
+    EXPECT_LT(measured, 1.45 * m.s_prime()) << name;
   }
 }
 

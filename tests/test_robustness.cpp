@@ -102,7 +102,7 @@ std::vector<ParamCase> param_cases() {
 }
 
 struct RobustnessCase {
-  KernelId id;
+  std::string_view name;
   Variant variant;
   std::size_t param_index;
 };
@@ -116,7 +116,7 @@ TEST_P(Robustness, BitExactUnderAnyTiming) {
   cfg.n = 192;
   cfg.block = 48;
   cfg.seed = 77;
-  const auto run = run_kernel(generate(rc.id, rc.variant, cfg), pc.params);
+  const auto run = run_kernel(workload::generate(rc.name, rc.variant, cfg), pc.params);
   EXPECT_TRUE(run.verified) << pc.name;
   EXPECT_LE(run.ipc(), 2.0) << pc.name;
 }
@@ -124,17 +124,17 @@ TEST_P(Robustness, BitExactUnderAnyTiming) {
 std::vector<RobustnessCase> robustness_cases() {
   std::vector<RobustnessCase> cases;
   const std::size_t num_params = param_cases().size();
-  for (const auto id : kAllKernels) {
+  for (const auto name : kPaperWorkloads) {
     for (std::size_t p = 0; p < num_params; ++p) {
-      cases.push_back({id, Variant::kCopift, p});
-      if (p < 8) cases.push_back({id, Variant::kBaseline, p});
+      cases.push_back({name, Variant::kCopift, p});
+      if (p < 8) cases.push_back({name, Variant::kBaseline, p});
     }
   }
   return cases;
 }
 
 std::string robustness_name(const ::testing::TestParamInfo<RobustnessCase>& info) {
-  std::string name = kernel_name(info.param.id);
+  std::string name(info.param.name);
   name += info.param.variant == Variant::kCopift ? "_copift_" : "_base_";
   name += param_cases()[info.param.param_index].name;
   return name;
@@ -152,8 +152,8 @@ TEST(Robustness, TimingChangesCyclesButNotResults) {
   slow.fpu.fma = 8;
   slow.fpu.add = 8;
   slow.fpu.mul = 8;
-  const auto fast = run_kernel(generate(KernelId::kExp, Variant::kCopift, cfg));
-  const auto slowed = run_kernel(generate(KernelId::kExp, Variant::kCopift, cfg), slow);
+  const auto fast = run_kernel(workload::generate("exp", Variant::kCopift, cfg));
+  const auto slowed = run_kernel(workload::generate("exp", Variant::kCopift, cfg), slow);
   EXPECT_GT(slowed.region.cycles, fast.region.cycles);
 }
 

@@ -8,9 +8,11 @@
 #include <gtest/gtest.h>
 #include <netinet/in.h>
 #include <sstream>
+#include <string>
 #include <sys/socket.h>
 #include <thread>
 #include <unistd.h>
+#include <utility>
 
 #include "engine/engine.hpp"
 #include "engine/experiment.hpp"
@@ -439,7 +441,9 @@ engine::ResultRow persist_row(std::uint32_t cores) {
   row.run.verified = true;
   row.run.total.cycles = 1111;
   row.run.total.fp_retired = 2222;
+  row.run.total.slot(sim::StallCause::kIntDmaDram) = 4444;
   row.run.region.cycles = 333;
+  row.run.region.slot(sim::StallCause::kFpIdle) = 555;
   row.run.region_energy.total_pj = 1.25e6;
   row.run.region_energy.memory_pj = 0.1;  // not exactly representable: bit test
   row.run.region_energy.cycles = 333;
@@ -498,16 +502,45 @@ TEST(ServeCachePersist, SaveLoadRoundTripsEveryField) {
   EXPECT_EQ(row.point.params.num_cores, 4u);
 }
 
+/// The header line and the body of a saved one-entry cache file.
+std::pair<std::string, std::string> saved_file() {
+  serve::ResultCache cache(8);
+  serve::ResultCache::EntryPtr entry;
+  EXPECT_EQ(cache.lookup_or_claim(persist_key(1, 4), entry), serve::ResultCache::Claim::kOwned);
+  cache.publish(entry, persist_row(4));
+  std::stringstream file;
+  EXPECT_EQ(cache.save(file), 1u);
+  std::string header;
+  std::getline(file, header);
+  return {header, file.str().substr(header.size() + 1)};
+}
+
 TEST(ServeCachePersist, RejectsVersionAndLayoutMismatch) {
   serve::ResultCache cache(4);
-  std::stringstream v2("copift-cache v2 counters=" + std::to_string(sizeof(sim::ActivityCounters)) +
-                       "\n");
+  const std::string header = saved_file().first;
+  ASSERT_EQ(header.rfind("copift-cache v1 layout=", 0), 0u) << header;
+  std::stringstream v2("copift-cache v2 " + header.substr(16) + "\n");
   EXPECT_THROW((void)cache.load(v2, registry_resolver), Error);
-  std::stringstream layout("copift-cache v1 counters=8\n");
+  std::stringstream layout("copift-cache v1 layout=0123456789abcdef\n");
   EXPECT_THROW((void)cache.load(layout, registry_resolver), Error);
   std::stringstream garbage("not a cache file\n");
   EXPECT_THROW((void)cache.load(garbage, registry_resolver), Error);
   EXPECT_EQ(cache.stats().reloaded, 0u);
+}
+
+// Files saved before the slot counters moved into one array stamp the
+// struct's size (472 bytes then, the same as after the move); their slot
+// words are in another order, so they must take the "ignoring cache file"
+// path, not load as hits.
+TEST(ServeCachePersist, RejectsFileWithTheSameSizeButAnotherWordOrder) {
+  const auto [header, body] = saved_file();
+  serve::ResultCache cache(8);
+  // The header the old format wrote.
+  std::stringstream old_layout("copift-cache v1 counters=472\n" + body);
+  EXPECT_THROW((void)cache.load(old_layout, registry_resolver), Error);
+  EXPECT_EQ(cache.stats().reloaded, 0u);
+  std::stringstream current(header + "\n" + body);
+  EXPECT_EQ(cache.load(current, registry_resolver), 1u);
 }
 
 TEST(ServeCachePersist, SkipsInFlightAndNonCanonicalEntries) {

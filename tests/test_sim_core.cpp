@@ -175,7 +175,7 @@ v: .word 7
   const auto d2 = c2.regions()[1].snapshot.minus(c2.regions()[0].snapshot);
   // The padded version retires 2 more instructions in the same cycles.
   EXPECT_EQ(d2.cycles, d1.cycles + 1);
-  EXPECT_GT(d1.stall_raw, d2.stall_raw);
+  EXPECT_GT(d1.slot(StallCause::kIntRaw), d2.slot(StallCause::kIntRaw));
 }
 
 TEST(SimCore, WritebackPortConflictMulThenAlu) {
@@ -193,7 +193,7 @@ TEST(SimCore, WritebackPortConflictMulThenAlu) {
   ecall
 )");
   const auto d = c.regions()[1].snapshot.minus(c.regions()[0].snapshot);
-  EXPECT_GE(d.stall_wb_port, 1u);
+  EXPECT_GE(d.slot(StallCause::kIntWbPort), 1u);
   EXPECT_EQ(c.core().reg(12), 15u);
 }
 
@@ -218,7 +218,8 @@ skip:
 )");
   const auto dt = taken.regions()[1].snapshot.minus(taken.regions()[0].snapshot);
   const auto dn = not_taken.regions()[1].snapshot.minus(not_taken.regions()[0].snapshot);
-  EXPECT_GT(dt.stall_branch + dt.stall_icache, dn.stall_branch);
+  EXPECT_GT(dt.slot(StallCause::kIntBranch) + dt.slot(StallCause::kIntFrontend),
+            dn.slot(StallCause::kIntBranch));
 }
 
 TEST(SimCore, DmaProgrammableFromCode) {

@@ -93,7 +93,7 @@ k: .double 1234.5
   const std::uint64_t bits = copift::bit_cast<std::uint64_t>(1234.5);
   EXPECT_EQ(c.core().reg(12), static_cast<std::uint32_t>(bits));
   EXPECT_EQ(c.core().reg(13), static_cast<std::uint32_t>(bits >> 32));
-  EXPECT_GT(c.counters().stall_mem_order, 0u);
+  EXPECT_GT(c.counters().slot(StallCause::kIntMemOrder), 0u);
 }
 
 TEST(Fpss, FrepReplayReachesDualIssue) {
@@ -273,7 +273,7 @@ v: .double 1.000001
   csrr t0, fpss
   ecall
 )");
-  EXPECT_GT(c.counters().stall_offload_full, 0u);
+  EXPECT_GT(c.counters().slot(StallCause::kIntOffloadFull), 0u);
 }
 
 TEST(Fpss, SsrDisableDrainsStreams) {

@@ -6,12 +6,17 @@
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <cstring>
+#include <sstream>
 #include <string>
+#include <utility>
+#include <vector>
 
 #include "common/layout.hpp"
 #include "kernels/kernels.hpp"
 #include "kernels/runner.hpp"
 #include "sim/params.hpp"
+#include "sim/trace_export.hpp"
 #include "workload/workload.hpp"
 
 namespace copift::kernels {
@@ -32,7 +37,8 @@ sim::SimParams dram_params(std::uint32_t cores) {
 /// transfers with compute instead of serializing them.
 std::int64_t overlap_cycles(const KernelRun& run) {
   return static_cast<std::int64_t>(run.total.dma_busy_cycles) -
-         static_cast<std::int64_t>(run.total.stall_dma_wait + run.total.stall_dma_dram);
+         static_cast<std::int64_t>(run.total.slot(sim::StallCause::kIntDmaWait) +
+                                   run.total.slot(sim::StallCause::kIntDmaDram));
 }
 
 KernelRun run_tiled(const char* name, Variant variant, std::uint32_t n,
@@ -115,6 +121,53 @@ TEST(TiledExp, DmaOverlapsCompute) {
     SCOPED_TRACE(workload::variant_name(variant));
     const auto run = run_tiled("exp", variant, 65536, 1024, 1, /*block=*/64);
     EXPECT_GT(overlap_cycles(run), 0);
+  }
+}
+
+/// The stall-breakdown rows of one unit's section of the pipeline report:
+/// (label, cycles) for each line between the section's breakdown header and
+/// the next blank line.
+std::vector<std::pair<std::string, std::uint64_t>> breakdown_rows(const std::string& report,
+                                                                  const std::string& section) {
+  std::istringstream in(report.substr(report.find(section) + 1));  // skip the '\n'
+  std::string line;
+  std::getline(in, line);  // occupancy line
+  std::getline(in, line);  // "stall breakdown (...)"
+  std::vector<std::pair<std::string, std::uint64_t>> rows;
+  while (std::getline(in, line) && !line.empty()) {
+    std::istringstream row(line);
+    std::string label;
+    std::uint64_t cycles = 0;
+    row >> label >> cycles;
+    rows.emplace_back(label, cycles);
+  }
+  return rows;
+}
+
+// The report lists every stall-kind cause of each unit, so its rows add up
+// to the unit's stall total. On this DMA-bound point about 30% of the
+// integer-core slots are dmwait on DRAM bursts.
+TEST(TiledReport, BreakdownHasOneRowPerStallCause) {
+  const auto run = run_tiled("axpy", Variant::kCopift, 65536, 1024, 2);
+  EXPECT_GT(run.total.slot(sim::StallCause::kIntDmaDram), 0u);
+  const std::string report = sim::render_report(sim::Tracer{}, run.total, 10, 2);
+  for (const auto& [unit, section] : {std::pair{sim::TraceUnit::kIntCore, "\nint core "},
+                                      std::pair{sim::TraceUnit::kFpss, "\nfpss "}}) {
+    SCOPED_TRACE(section);
+    std::vector<std::string> want;
+    for (const sim::CauseInfo& info : sim::kCauseInfo) {
+      if (info.unit == unit && info.kind == sim::SlotKind::kStall) {
+        want.emplace_back(std::strchr(info.name, '/') + 1);
+      }
+    }
+    std::vector<std::string> labels;
+    std::uint64_t sum = 0;
+    for (const auto& [label, cycles] : breakdown_rows(report, section)) {
+      labels.push_back(label);
+      sum += cycles;
+    }
+    EXPECT_EQ(labels, want);
+    EXPECT_EQ(sum, run.total.unit_cycles(unit, sim::SlotKind::kStall));
   }
 }
 

@@ -28,9 +28,11 @@ using workload::WorkloadConfig;
 /// Per-unit accounting identity on one hart: every cycle attributed once.
 void expect_hart_identity(const Cluster& cluster, unsigned hart) {
   const ActivityCounters& c = cluster.complex(hart).counters();
-  EXPECT_EQ(c.int_issue_cycles() + c.int_stall_cycles() + c.int_halt_cycles, cluster.cycles())
+  EXPECT_EQ(c.int_issue_cycles() + c.int_stall_cycles() + c.slot(StallCause::kIntHalted),
+            cluster.cycles())
       << "hart " << hart;
-  EXPECT_EQ(c.fpss_issue_cycles() + c.fpss_stall_cycles() + c.fpss_idle, cluster.cycles())
+  EXPECT_EQ(c.fpss_issue_cycles() + c.fpss_stall_cycles() + c.slot(StallCause::kFpIdle),
+            cluster.cycles())
       << "hart " << hart;
 }
 
@@ -175,7 +177,7 @@ _start:
   for (unsigned h = 0; h < 4; ++h) {
     EXPECT_EQ(cluster.memory().load32(out + 8 * h), h) << "hart " << h;
     EXPECT_EQ(cluster.complex(h).counters().barriers, 1u) << "hart " << h;
-    total_wait += cluster.complex(h).counters().stall_hw_barrier;
+    total_wait += cluster.complex(h).counters().slot(StallCause::kIntHwBarrier);
     expect_hart_identity(cluster, h);
   }
   // The harts do not all arrive in the same relative slot; someone waited.
@@ -185,7 +187,7 @@ _start:
 TEST(HwBarrier, SingleHartPassesImmediately) {
   Cluster cluster(rvasm::assemble("csrr zero, barrier\necall\n"));
   cluster.run();
-  EXPECT_EQ(cluster.counters().stall_hw_barrier, 0u);
+  EXPECT_EQ(cluster.counters().slot(StallCause::kIntHwBarrier), 0u);
   EXPECT_EQ(cluster.counters().barriers, 1u);
 }
 

@@ -49,8 +49,10 @@ void coverage(const Cluster& cluster, UnitCoverage& int_core, UnitCoverage& fpss
 void expect_full_attribution(const Cluster& cluster) {
   const ActivityCounters& c = cluster.counters();
   const std::uint64_t cycles = cluster.cycles();
-  EXPECT_EQ(c.int_issue_cycles() + c.int_stall_cycles() + c.int_halt_cycles, cycles);
-  EXPECT_EQ(c.fpss_issue_cycles() + c.fpss_stall_cycles() + c.fpss_idle, cycles);
+  EXPECT_EQ(c.int_issue_cycles() + c.int_stall_cycles() + c.slot(StallCause::kIntHalted),
+            cycles);
+  EXPECT_EQ(c.fpss_issue_cycles() + c.fpss_stall_cycles() + c.slot(StallCause::kFpIdle),
+            cycles);
   if (!cluster.tracer().enabled()) return;
   UnitCoverage ic, fp;
   coverage(cluster, ic, fp);
@@ -65,10 +67,9 @@ void expect_full_attribution(const Cluster& cluster) {
   for (const StallEvent& s : cluster.tracer().stalls()) {
     ++per_cause[static_cast<unsigned>(s.cause)];
   }
-  for (unsigned i = 0; i < kNumStallCauses; ++i) {
-    const auto cause = static_cast<StallCause>(i);
-    EXPECT_EQ(per_cause[i], stall_cause_counter_value(c, cause))
-        << stall_cause_name(cause) << " vs " << stall_cause_counter_name(cause);
+  for (const CauseInfo& info : kCauseInfo) {
+    EXPECT_EQ(per_cause[static_cast<unsigned>(info.cause)], c.slot(info.cause))
+        << info.name << " vs " << info.counter;
   }
 }
 
@@ -257,11 +258,11 @@ TEST(StallAttribution, BackToBackFpRawExactCounts) {
   ecall
 )");
   const ActivityCounters& c = cluster->counters();
-  EXPECT_EQ(c.fpss_stall_raw, 3u);
-  EXPECT_EQ(c.fpss_stall_ssr, 0u);
-  EXPECT_EQ(c.fpss_stall_struct, 0u);
-  EXPECT_EQ(c.int_offloads, 3u);  // fcvt + 2 fadd handed to the FPSS FIFO
-  EXPECT_GT(c.stall_barrier, 0u);  // csrr fpss drains the in-flight adds
+  EXPECT_EQ(c.slot(StallCause::kFpRaw), 3u);
+  EXPECT_EQ(c.slot(StallCause::kFpSsr), 0u);
+  EXPECT_EQ(c.slot(StallCause::kFpStruct), 0u);
+  EXPECT_EQ(c.slot(StallCause::kIntOffload), 3u);  // fcvt + 2 fadd handed to the FPSS FIFO
+  EXPECT_GT(c.slot(StallCause::kIntBarrier), 0u);  // csrr fpss drains the in-flight adds
   expect_full_attribution(*cluster);
 }
 
@@ -277,9 +278,9 @@ TEST(StallAttribution, DividerBusyExactCounts) {
   ecall
 )");
   const SimParams params{};
-  EXPECT_EQ(cluster->counters().stall_div_busy,
+  EXPECT_EQ(cluster->counters().slot(StallCause::kIntDivBusy),
             static_cast<std::uint64_t>(params.div_latency) - 1);
-  EXPECT_EQ(cluster->counters().stall_raw, 0u);
+  EXPECT_EQ(cluster->counters().slot(StallCause::kIntRaw), 0u);
   expect_full_attribution(*cluster);
 }
 
@@ -295,9 +296,9 @@ TEST(StallAttribution, IntRawOnFpssWritebackExactCounts) {
   ecall
 )");
   const ActivityCounters& c = cluster->counters();
-  EXPECT_EQ(c.stall_raw, 3u);
-  EXPECT_EQ(c.fpss_stall_raw, 1u);
-  EXPECT_EQ(c.int_offloads, 2u);
+  EXPECT_EQ(c.slot(StallCause::kIntRaw), 3u);
+  EXPECT_EQ(c.slot(StallCause::kFpRaw), 1u);
+  EXPECT_EQ(c.slot(StallCause::kIntOffload), 2u);
   expect_full_attribution(*cluster);
 }
 
@@ -316,8 +317,8 @@ TEST(StallAttribution, FrepReplayExactCounts) {
 )");
   const ActivityCounters& c = cluster->counters();
   EXPECT_EQ(c.frep_replays, 3u);
-  EXPECT_EQ(c.fpss_cfg_cycles, 1u);
-  EXPECT_EQ(c.fpss_stall_raw, 6u);
+  EXPECT_EQ(c.slot(StallCause::kFpCfg), 1u);
+  EXPECT_EQ(c.slot(StallCause::kFpRaw), 6u);
   expect_full_attribution(*cluster);
 }
 
@@ -436,12 +437,11 @@ TEST(TraceExport, ReportDegradesGracefullyWithoutTracing) {
 
 TEST(Taxonomy, EveryCauseHasNameCounterAndLegendEntry) {
   const std::string legend = stall_taxonomy_legend();
-  for (unsigned i = 0; i < kNumStallCauses; ++i) {
-    const auto cause = static_cast<StallCause>(i);
-    EXPECT_STRNE(stall_cause_name(cause), "");
-    EXPECT_STRNE(stall_cause_counter_name(cause), "");
-    EXPECT_NE(legend.find(stall_cause_name(cause)), std::string::npos);
-    EXPECT_NE(legend.find(stall_cause_counter_name(cause)), std::string::npos);
+  for (const CauseInfo& info : kCauseInfo) {
+    EXPECT_STRNE(info.name, "");
+    EXPECT_STRNE(info.counter, "");
+    EXPECT_NE(legend.find(info.name), std::string::npos);
+    EXPECT_NE(legend.find(info.counter), std::string::npos);
   }
 }
 

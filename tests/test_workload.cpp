@@ -1,7 +1,7 @@
-// Workload-registry tests: registration semantics, name lookup errors, the
-// KernelId compatibility shim, workload-qualified validation messages, and
-// the two out-of-paper workloads (axpy, softmax) running end-to-end through
-// the batch engine — proving the registry API is genuinely open.
+// Workload-registry tests: registration semantics, name lookup errors,
+// workload-qualified validation messages, and the two out-of-paper workloads
+// (axpy, softmax) running end-to-end through the batch engine — proving the
+// registry API is genuinely open.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -75,7 +75,7 @@ TEST(WorkloadRegistry, UnknownNameListsRegisteredWorkloads) {
   }
 }
 
-// --- the process-wide registry and the KernelId compat shim ------------------
+// --- the process-wide registry ------------------------------------------------
 
 TEST(WorkloadRegistry, ProcessRegistryHoldsPaperAndExtraWorkloads) {
   const auto names = WorkloadRegistry::instance().names();
@@ -86,27 +86,10 @@ TEST(WorkloadRegistry, ProcessRegistryHoldsPaperAndExtraWorkloads) {
   }
 }
 
-TEST(KernelIdShim, ResolvesAllSixPaperKernels) {
-  kernels::KernelConfig cfg;
-  cfg.n = 64;
-  cfg.block = 16;
-  for (const auto id : kernels::kAllKernels) {
-    const std::string name = kernels::kernel_name(id);
-    const auto handle = WorkloadRegistry::instance().at(name);
-    EXPECT_EQ(handle->name(), name);
-    // The enum path and the registry path generate identical programs.
-    const auto via_enum = kernels::generate(id, Variant::kCopift, cfg);
-    const auto via_registry = workload::generate(name, Variant::kCopift, cfg);
-    EXPECT_EQ(via_enum.source, via_registry.source);
-    EXPECT_EQ(via_enum.name(), name);
-    EXPECT_NE(via_enum.workload, nullptr);
-  }
-}
-
-TEST(KernelIdShim, TranscendentalClassification) {
-  EXPECT_TRUE(kernels::is_transcendental(kernels::KernelId::kExp));
+TEST(PaperWorkloads, TranscendentalClassification) {
+  EXPECT_TRUE(kernels::is_transcendental("exp"));
   EXPECT_TRUE(kernels::is_transcendental("log"));
-  EXPECT_FALSE(kernels::is_transcendental(kernels::KernelId::kPiLcg));
+  EXPECT_FALSE(kernels::is_transcendental("pi_lcg"));
   EXPECT_FALSE(kernels::is_transcendental("axpy"));
 }
 

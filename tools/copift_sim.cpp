@@ -210,20 +210,13 @@ void print_summary(sim::Cluster& cluster) {
               static_cast<unsigned long long>(c.fp_retired),
               static_cast<unsigned long long>(c.frep_replays));
   std::printf("IPC:           %.3f\n", c.ipc());
-  std::printf("stalls:        raw %llu, wb-port %llu, offload %llu, tcdm %llu, "
-              "barrier %llu, hw-barrier %llu, icache %llu, branch %llu, mem-order %llu, "
-              "dma-wait %llu, dma-dram %llu\n",
-              static_cast<unsigned long long>(c.stall_raw),
-              static_cast<unsigned long long>(c.stall_wb_port),
-              static_cast<unsigned long long>(c.stall_offload_full),
-              static_cast<unsigned long long>(c.stall_tcdm),
-              static_cast<unsigned long long>(c.stall_barrier),
-              static_cast<unsigned long long>(c.stall_hw_barrier),
-              static_cast<unsigned long long>(c.stall_icache),
-              static_cast<unsigned long long>(c.stall_branch),
-              static_cast<unsigned long long>(c.stall_mem_order),
-              static_cast<unsigned long long>(c.stall_dma_wait),
-              static_cast<unsigned long long>(c.stall_dma_dram));
+  std::string stalls;
+  for (const sim::CauseInfo& info : sim::kCauseInfo) {
+    if (info.kind != sim::SlotKind::kStall) continue;
+    stalls += (stalls.empty() ? "" : ", ") + std::string(info.name) + ' ' +
+              std::to_string(c.slot(info.cause));
+  }
+  std::printf("stalls:        %s\n", stalls.c_str());
   std::printf("memory:        tcdm reads %llu, writes %llu, conflicts %llu, "
               "ssr elements %llu\n",
               static_cast<unsigned long long>(c.tcdm_reads),
@@ -306,8 +299,8 @@ std::string render_dma_report(const sim::Cluster& cluster) {
   } else {
     os << "dram bursts:   0 (no DRAM traffic, or dram timing disabled)\n";
   }
-  os << "dma stalls:    dmwait on TCDM-side drain " << c.stall_dma_wait
-     << " cycles, on DRAM bursts " << c.stall_dma_dram << " cycles\n";
+  os << "dma stalls:    dmwait on TCDM-side drain " << c.slot(sim::StallCause::kIntDmaWait)
+     << " cycles, on DRAM bursts " << c.slot(sim::StallCause::kIntDmaDram) << " cycles\n";
   return os.str();
 }
 
