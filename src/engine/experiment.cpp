@@ -3,9 +3,10 @@
 #include <array>
 #include <optional>
 #include <ostream>
-#include <sstream>
+#include <type_traits>
 
 #include "common/error.hpp"
+#include "common/json.hpp"
 
 namespace copift::engine {
 
@@ -118,38 +119,21 @@ std::string csv_field(const std::string& value) {
   return out;
 }
 
-/// JSON string escaping per RFC 8259: quote, backslash and control
-/// characters; everything else passes through byte-for-byte.
-void write_json_string(std::ostream& os, std::string_view value) {
-  os << '"';
-  for (const char c : value) {
-    switch (c) {
-      case '"': os << "\\\""; break;
-      case '\\': os << "\\\\"; break;
-      case '\n': os << "\\n"; break;
-      case '\r': os << "\\r"; break;
-      case '\t': os << "\\t"; break;
-      case '\b': os << "\\b"; break;
-      case '\f': os << "\\f"; break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          constexpr const char* kHex = "0123456789abcdef";
-          os << "\\u00" << kHex[(c >> 4) & 0xF] << kHex[c & 0xF];
-        } else {
-          os << c;
-        }
+/// Append each part: text as it is, integers in decimal, doubles through
+/// the JSON number writer (the CSV prints them the same way).
+template <typename... Parts>
+void append(std::string& out, const Parts&... parts) {
+  const auto one = [&out](const auto& part) {
+    using T = std::remove_cvref_t<decltype(part)>;
+    if constexpr (std::is_same_v<T, double>) {
+      Json::append_number(out, part);
+    } else if constexpr (std::is_integral_v<T> && !std::is_same_v<T, char>) {
+      out += std::to_string(part);
+    } else {
+      out += part;
     }
-  }
-  os << '"';
-}
-
-void write_number(std::ostream& os, double v) {
-  // Shortest round-trippable representation keeps the emitted tables
-  // deterministic across thread counts and runs.
-  std::ostringstream ss;
-  ss.precision(17);
-  ss << v;
-  os << ss.str();
+  };
+  (one(parts), ...);
 }
 
 // Stall-cause columns come from the marginal region for steady rows (the
@@ -209,86 +193,71 @@ constexpr auto kStallColumns = [] {
 
 }  // namespace
 
-void ResultTable::write_csv(std::ostream& os) const {
-  os << "index,kernel,variant,n,block,seed,cores,tile,params,verified,cycles,region_cycles,"
-        "int_retired,fp_retired,ipc,power_mw,energy_nj,steady,steady_ipc,"
-        "cycles_per_item,energy_pj_per_item";
-  for (const StallColumn& col : kStallColumns) os << ',' << col.name;
-  os << '\n';
-  for (const auto& row : rows_) {
-    const auto& p = row.point;
-    os << p.index << ',' << csv_field(p.name()) << ',' << workload::variant_name(p.variant)
-       << ',' << p.config.n << ',' << p.config.block << ',' << p.config.seed << ','
-       << p.config.cores << ',' << p.config.tile << ','
-       << csv_field(p.params_label) << ',' << (row.run.verified ? 1 : 0) << ','
-       << row.run.result.cycles
-       << ',' << row.run.region.cycles << ',' << row.run.region.int_retired << ','
-       << row.run.region.fp_retired << ',';
-    write_number(os, row.run.ipc());
-    os << ',';
-    write_number(os, row.run.power_mw());
-    os << ',';
-    write_number(os, row.run.energy_nj());
-    os << ',' << (row.steady ? 1 : 0) << ',';
-    write_number(os, row.steady ? row.metrics.ipc : 0.0);
-    os << ',';
-    write_number(os, row.steady ? row.metrics.cycles_per_item : 0.0);
-    os << ',';
-    write_number(os, row.steady ? row.metrics.energy_pj_per_item : 0.0);
-    for (const StallColumn& col : kStallColumns) os << ',' << col.value(stall_region(row));
-    os << '\n';
-  }
-}
+void ResultTable::write_csv(std::ostream& os) const { os << csv(); }
 
-void ResultTable::write_json(std::ostream& os) const {
-  os << "[\n";
-  for (std::size_t i = 0; i < rows_.size(); ++i) {
-    const auto& row = rows_[i];
-    const auto& p = row.point;
-    os << "  {\"index\":" << p.index << ",\"kernel\":";
-    write_json_string(os, p.name());
-    os << ",\"variant\":\"" << workload::variant_name(p.variant)
-       << "\",\"n\":" << p.config.n
-       << ",\"block\":" << p.config.block << ",\"seed\":" << p.config.seed
-       << ",\"cores\":" << p.config.cores << ",\"tile\":" << p.config.tile
-       << ",\"params\":";
-    write_json_string(os, p.params_label);
-    os << ",\"verified\":" << (row.run.verified ? "true" : "false")
-       << ",\"cycles\":" << row.run.result.cycles
-       << ",\"region_cycles\":" << row.run.region.cycles << ",\"ipc\":";
-    write_number(os, row.run.ipc());
-    os << ",\"power_mw\":";
-    write_number(os, row.run.power_mw());
-    os << ",\"energy_nj\":";
-    write_number(os, row.run.energy_nj());
-    if (row.steady) {
-      os << ",\"steady_ipc\":";
-      write_number(os, row.metrics.ipc);
-      os << ",\"cycles_per_item\":";
-      write_number(os, row.metrics.cycles_per_item);
-      os << ",\"energy_pj_per_item\":";
-      write_number(os, row.metrics.energy_pj_per_item);
-    }
-    const char* sep = ",\"stalls\":{";
-    for (const StallColumn& col : kStallColumns) {
-      os << sep << '"' << col.name << "\":" << col.value(stall_region(row));
-      sep = ",";
-    }
-    os << "}}" << (i + 1 < rows_.size() ? "," : "") << '\n';
-  }
-  os << "]\n";
-}
+void ResultTable::write_json(std::ostream& os) const { os << json(); }
 
 std::string ResultTable::csv() const {
-  std::ostringstream ss;
-  write_csv(ss);
-  return ss.str();
+  std::string out =
+      "index,kernel,variant,n,block,seed,cores,tile,params,verified,cycles,region_cycles,"
+      "int_retired,fp_retired,ipc,power_mw,energy_nj,steady,steady_ipc,"
+      "cycles_per_item,energy_pj_per_item";
+  for (const StallColumn& col : kStallColumns) append(out, ',', col.name);
+  out += '\n';
+  for (const auto& row : rows_) {
+    const auto& p = row.point;
+    append(out, p.index, ',', csv_field(p.name()), ',', workload::variant_name(p.variant), ',',
+           p.config.n, ',', p.config.block, ',', p.config.seed, ',', p.config.cores, ',',
+           p.config.tile, ',', csv_field(p.params_label), ',', row.run.verified ? 1 : 0, ',',
+           row.run.result.cycles, ',', row.run.region.cycles, ',', row.run.region.int_retired,
+           ',', row.run.region.fp_retired, ',', row.run.ipc(), ',', row.run.power_mw(), ',',
+           row.run.energy_nj(), ',', row.steady ? 1 : 0, ',',
+           row.steady ? row.metrics.ipc : 0.0, ',',
+           row.steady ? row.metrics.cycles_per_item : 0.0, ',',
+           row.steady ? row.metrics.energy_pj_per_item : 0.0);
+    for (const StallColumn& col : kStallColumns) {
+      append(out, ',', col.value(stall_region(row)));
+    }
+    out += '\n';
+  }
+  return out;
 }
 
 std::string ResultTable::json() const {
-  std::ostringstream ss;
-  write_json(ss);
-  return ss.str();
+  std::string out;
+  append_json(out);
+  return out;
+}
+
+void ResultTable::append_json(std::string& out, bool one_line) const {
+  const std::string_view newline = one_line ? "" : "\n";
+  append(out, '[', newline);
+  for (std::size_t i = 0; i < rows_.size(); ++i) {
+    const auto& row = rows_[i];
+    const auto& p = row.point;
+    append(out, "  {\"index\":", p.index, ",\"kernel\":");
+    Json::append_quoted(out, p.name());
+    append(out, ",\"variant\":\"", workload::variant_name(p.variant), "\",\"n\":", p.config.n,
+           ",\"block\":", p.config.block, ",\"seed\":", p.config.seed,
+           ",\"cores\":", p.config.cores, ",\"tile\":", p.config.tile, ",\"params\":");
+    Json::append_quoted(out, p.params_label);
+    append(out, ",\"verified\":", row.run.verified ? "true" : "false",
+           ",\"cycles\":", row.run.result.cycles, ",\"region_cycles\":", row.run.region.cycles,
+           ",\"ipc\":", row.run.ipc(), ",\"power_mw\":", row.run.power_mw(),
+           ",\"energy_nj\":", row.run.energy_nj());
+    if (row.steady) {
+      append(out, ",\"steady_ipc\":", row.metrics.ipc,
+             ",\"cycles_per_item\":", row.metrics.cycles_per_item,
+             ",\"energy_pj_per_item\":", row.metrics.energy_pj_per_item);
+    }
+    const char* sep = ",\"stalls\":{";
+    for (const StallColumn& col : kStallColumns) {
+      append(out, sep, '"', col.name, "\":", col.value(stall_region(row)));
+      sep = ",";
+    }
+    append(out, "}}", i + 1 < rows_.size() ? "," : "", newline);
+  }
+  append(out, ']', newline);
 }
 
 // --- Experiment -------------------------------------------------------------
@@ -405,10 +374,34 @@ Experiment& Experiment::verify_if(std::function<bool(const GridPoint&)> predicat
 
 Experiment& Experiment::steady(std::uint32_t n1, std::uint32_t n2) {
   if (n2 <= n1) throw Error("Experiment::steady requires n2 > n1");
-  steady_ = true;
-  steady_n1_ = n1;
-  steady_n2_ = n2;
+  steady_ = SteadyWindow{n1, n2};
   return *this;
+}
+
+ResultRow run_point(const GridPoint& point, bool verify, ProgramCache& programs,
+                    const std::optional<SteadyWindow>& steady) {
+  ResultRow row;
+  row.point = point;
+  if (!steady) {
+    const auto kernel = point.workload->instantiate(point.variant, point.config);
+    row.run = kernels::run_kernel(kernel, programs.get(kernel), point.params, verify);
+    return row;
+  }
+  kernels::KernelConfig c1 = point.config;
+  c1.n = steady->n1;
+  kernels::KernelConfig c2 = point.config;
+  c2.n = steady->n2;
+  const auto k1 = point.workload->instantiate(point.variant, c1);
+  const auto k2 = point.workload->instantiate(point.variant, c2);
+  const auto r1 = kernels::run_kernel(k1, programs.get(k1), point.params, verify);
+  auto r2 = kernels::run_kernel(k2, programs.get(k2), point.params, verify);
+  row.steady = true;
+  row.metrics = kernels::steady_from_runs(r1, r2, point.workload->items(c1),
+                                          point.workload->items(c2));
+  row.steady_region = r2.region.minus(r1.region);
+  row.run = std::move(r2);
+  row.point.config.n = steady->n2;
+  return row;
 }
 
 ResultTable Experiment::run(SimEngine& engine, const CancelToken* cancel) const {
@@ -419,28 +412,7 @@ ResultTable Experiment::run(SimEngine& engine, const CancelToken* cancel) const 
   const bool complete = engine.parallel_for(count, [&](std::size_t i) {
     const GridPoint pt = grid_.point(i);
     const bool verify = verify_ && (!verify_pred_ || verify_pred_(pt));
-    ResultRow row;
-    row.point = pt;
-    if (steady_) {
-      kernels::KernelConfig c1 = pt.config;
-      c1.n = steady_n1_;
-      kernels::KernelConfig c2 = pt.config;
-      c2.n = steady_n2_;
-      const auto k1 = pt.workload->instantiate(pt.variant, c1);
-      const auto k2 = pt.workload->instantiate(pt.variant, c2);
-      const auto r1 = kernels::run_kernel(k1, cache.get(k1), pt.params, verify);
-      auto r2 = kernels::run_kernel(k2, cache.get(k2), pt.params, verify);
-      row.steady = true;
-      row.metrics = kernels::steady_from_runs(r1, r2, pt.workload->items(c1),
-                                              pt.workload->items(c2));
-      row.steady_region = r2.region.minus(r1.region);
-      row.run = std::move(r2);
-      row.point.config.n = steady_n2_;
-    } else {
-      const auto kernel = pt.workload->instantiate(pt.variant, pt.config);
-      row.run = kernels::run_kernel(kernel, cache.get(kernel), pt.params, verify);
-    }
-    rows[i] = std::move(row);
+    rows[i] = run_point(pt, verify, cache, steady_);
     done[i] = 1;
   }, cancel);
   if (!complete) {

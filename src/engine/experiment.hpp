@@ -150,10 +150,27 @@ class ResultTable {
   void write_json(std::ostream& os) const;
   [[nodiscard]] std::string csv() const;
   [[nodiscard]] std::string json() const;
+  /// Append the JSON array json() returns to `out`. `one_line` drops its
+  /// line breaks and nothing else: the form a serve reply embeds.
+  void append_json(std::string& out, bool one_line = false) const;
 
  private:
   std::vector<ResultRow> rows_;
 };
+
+/// The steady-state window: each point runs at n1 and at n2 > n1 and
+/// reports the marginal metrics between the two (see Experiment::steady).
+struct SteadyWindow {
+  std::uint32_t n1 = 0;
+  std::uint32_t n2 = 0;
+};
+
+/// Run one grid point: instantiate its program, assemble it through
+/// `programs` (once per distinct program), simulate, verify when `verify`
+/// and evaluate energy. The per-point job of Experiment::run and of the
+/// serve daemon. With `steady` the row is a steady row at config.n = n2.
+[[nodiscard]] ResultRow run_point(const GridPoint& point, bool verify, ProgramCache& programs,
+                                  const std::optional<SteadyWindow>& steady = std::nullopt);
 
 /// Builder for a batch experiment. All setters return *this for chaining:
 ///   Experiment().over({"exp", "log"}).over(variants).sweep(blocks).run(engine)
@@ -225,9 +242,7 @@ class Experiment {
   ParamGrid grid_;
   bool verify_ = true;
   std::function<bool(const GridPoint&)> verify_pred_;
-  bool steady_ = false;
-  std::uint32_t steady_n1_ = 0;
-  std::uint32_t steady_n2_ = 0;
+  std::optional<SteadyWindow> steady_;
   bool params_defaulted_ = true;
 };
 

@@ -101,20 +101,6 @@ KernelRun run_kernel(const GeneratedKernel& kernel,
   return out;
 }
 
-SteadyMetrics steady_metrics(std::string_view workload, Variant variant,
-                             const KernelConfig& config, std::uint32_t n1, std::uint32_t n2,
-                             const sim::SimParams& params) {
-  if (n2 <= n1) throw Error("steady_metrics requires n2 > n1");
-  const auto handle = workload::WorkloadRegistry::instance().at(workload);
-  KernelConfig c1 = config;
-  c1.n = n1;
-  KernelConfig c2 = config;
-  c2.n = n2;
-  const KernelRun r1 = run_kernel(handle->instantiate(variant, c1), params, /*verify=*/true);
-  const KernelRun r2 = run_kernel(handle->instantiate(variant, c2), params, /*verify=*/true);
-  return steady_from_runs(r1, r2, handle->items(c1), handle->items(c2));
-}
-
 SteadyMetrics steady_from_runs(const KernelRun& r1, const KernelRun& r2, std::uint64_t items1,
                                std::uint64_t items2) {
   if (items2 <= items1) throw Error("steady_from_runs requires items2 > items1");

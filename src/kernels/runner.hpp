@@ -8,7 +8,6 @@
 
 #include <cstdint>
 #include <memory>
-#include <string_view>
 #include <vector>
 
 #include "energy/energy.hpp"
@@ -65,13 +64,10 @@ struct SteadyMetrics {
   double energy_pj_per_item = 0.0;
   std::uint64_t delta_cycles = 0;
 };
-SteadyMetrics steady_metrics(std::string_view workload, Variant variant,
-                             const KernelConfig& config, std::uint32_t n1, std::uint32_t n2,
-                             const sim::SimParams& params = {});
 
 /// Derive steady-state metrics from two completed runs that performed
-/// items1 < items2 work items. Shared by steady_metrics() and the engine's
-/// steady-mode experiments.
+/// items1 < items2 work items (the engine's steady rows; see
+/// engine::run_point).
 SteadyMetrics steady_from_runs(const KernelRun& r1, const KernelRun& r2,
                                std::uint64_t items1, std::uint64_t items2);
 

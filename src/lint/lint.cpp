@@ -6,10 +6,10 @@
 #include <cstdlib>
 #include <map>
 #include <set>
-#include <sstream>
 #include <tuple>
 
 #include "common/error.hpp"
+#include "common/json.hpp"
 #include "isa/csr.hpp"
 #include "isa/instr.hpp"
 #include "isa/reg.hpp"
@@ -41,28 +41,6 @@ std::string hex(std::uint32_t v) {
   char buf[16];
   std::snprintf(buf, sizeof buf, "0x%x", v);
   return buf;
-}
-
-std::string json_escape(std::string_view s) {
-  std::string out;
-  out.reserve(s.size() + 2);
-  for (const char c : s) {
-    switch (c) {
-      case '"': out += "\\\""; break;
-      case '\\': out += "\\\\"; break;
-      case '\n': out += "\\n"; break;
-      case '\t': out += "\\t"; break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          char buf[8];
-          std::snprintf(buf, sizeof buf, "\\u%04x", c);
-          out += buf;
-        } else {
-          out += c;
-        }
-    }
-  }
-  return out;
 }
 
 }  // namespace
@@ -101,26 +79,28 @@ std::string LintReport::summary() const {
 }
 
 std::string LintReport::json() const {
-  std::ostringstream os;
-  os << "{\"clean\":" << (clean() ? "true" : "false") << ",\"cores\":" << cores
-     << ",\"rules\":" << kNumRules
-     << ",\"analysis_complete\":" << (analysis_complete ? "true" : "false")
-     << ",\"diags\":[";
+  std::string out = "{\"clean\":";
+  out += clean() ? "true" : "false";
+  out += ",\"cores\":" + std::to_string(cores) + ",\"rules\":" + std::to_string(kNumRules) +
+         ",\"analysis_complete\":";
+  out += analysis_complete ? "true" : "false";
+  out += ",\"diags\":[";
   bool first = true;
   for (const LintDiag& d : diags) {
-    if (!first) os << ',';
+    if (!first) out += ',';
     first = false;
-    os << "{\"rule\":\"" << rule_id(d.rule) << "\",\"pc\":" << d.pc << ",\"hart\":";
-    if (d.hart == kAnyHart) {
-      os << "null";
-    } else {
-      os << d.hart;
-    }
-    os << ",\"label\":\"" << json_escape(d.label) << "\",\"message\":\""
-       << json_escape(d.message) << "\"}";
+    out += "{\"rule\":\"";
+    out += rule_id(d.rule);
+    out += "\",\"pc\":" + std::to_string(d.pc) + ",\"hart\":";
+    out += d.hart == kAnyHart ? "null" : std::to_string(d.hart);
+    out += ",\"label\":";
+    Json::append_quoted(out, d.label);
+    out += ",\"message\":";
+    Json::append_quoted(out, d.message);
+    out += '}';
   }
-  os << "]}";
-  return os.str();
+  out += "]}";
+  return out;
 }
 
 // ---------------------------------------------------------------------------
@@ -281,9 +261,15 @@ void check_barrier_divergence(const rvasm::Program& program, const Cfg& cfg,
     }
     if (cannot.empty()) continue;
     std::string msg = "barrier reachable by hart";
-    for (const unsigned h : can) msg += " " + std::to_string(h);
+    for (const unsigned h : can) {
+      msg += ' ';
+      msg += std::to_string(h);
+    }
     msg += " but not by hart";
-    for (const unsigned h : cannot) msg += " " + std::to_string(h);
+    for (const unsigned h : cannot) {
+      msg += ' ';
+      msg += std::to_string(h);
+    }
     msg += ": the cluster barrier releases only when every hart arrives";
     add_diag(diags, program, cfg, Rule::kBarrierDivergence, site, cannot.front(),
              std::move(msg));
@@ -395,23 +381,13 @@ Mode env_or_default_mode() noexcept {
 #else
   Mode mode = Mode::kWarn;
 #endif
-  if (const char* env = std::getenv("COPIFT_LINT")) {
-    const std::string_view v(env);
-    if (v == "off") {
-      mode = Mode::kOff;
-    } else if (v == "warn") {
-      mode = Mode::kWarn;
-    } else if (v == "strict") {
-      mode = Mode::kStrict;
-    } else if (!v.empty()) {
-      static std::atomic<bool> warned{false};
-      if (!warned.exchange(true)) {
-        std::fprintf(stderr,
-                     "copift: ignoring COPIFT_LINT='%s' (expected off, warn or "
-                     "strict)\n",
-                     env);
-      }
-    }
+  const char* env = std::getenv("COPIFT_LINT");
+  if (env == nullptr || *env == '\0') return mode;
+  try {
+    return mode_from(env);
+  } catch (const Error&) {
+    std::fprintf(stderr, "copift: ignoring COPIFT_LINT='%s' (expected off, warn or strict)\n",
+                 env);
   }
   return mode;
 }
@@ -429,12 +405,12 @@ void set_pipeline_mode(Mode mode) noexcept {
   g_mode_override.store(static_cast<int>(mode), std::memory_order_relaxed);
 }
 
-void pipeline_check(const rvasm::Program& program, unsigned cores,
+bool pipeline_check(const rvasm::Program& program, unsigned cores,
                     std::string_view what) {
   const Mode mode = pipeline_mode();
-  if (mode == Mode::kOff) return;
+  if (mode == Mode::kOff) return false;
   const LintReport report = lint_program(program, cores);
-  if (report.clean()) return;
+  if (report.clean()) return true;
   const std::string header = "lint: " + std::string(what) + ": " +
                              std::to_string(report.diags.size()) + " diagnostic" +
                              (report.diags.size() == 1 ? "" : "s");
@@ -442,6 +418,7 @@ void pipeline_check(const rvasm::Program& program, unsigned cores,
     throw Error(header + "\n" + report.summary());
   }
   std::fprintf(stderr, "%s\n%s\n", header.c_str(), report.summary().c_str());
+  return false;
 }
 
 }  // namespace copift::lint

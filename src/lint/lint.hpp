@@ -120,6 +120,7 @@ void set_pipeline_mode(Mode mode) noexcept;
 /// Post-assembly hook called by the workload runner on every generated
 /// program: lints at pipeline_mode() and warns or throws accordingly.
 /// `what` names the program in messages (e.g. "exp/copift n=1024 cores=4").
-void pipeline_check(const rvasm::Program& program, unsigned cores, std::string_view what);
+/// Returns true when the program was linted and came back clean.
+bool pipeline_check(const rvasm::Program& program, unsigned cores, std::string_view what);
 
 }  // namespace copift::lint

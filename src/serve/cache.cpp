@@ -23,7 +23,7 @@ static_assert(std::is_trivially_copyable_v<sim::ActivityCounters> &&
 
 constexpr std::size_t kCounterWords = sizeof(sim::ActivityCounters) / 8;
 constexpr const char* kMagic = "copift-cache";
-constexpr unsigned kVersion = 1;
+constexpr const char* kVersion = "v1";
 
 std::string layout_stamp() {
   char buf[32];
@@ -98,16 +98,25 @@ energy::EnergyReport get_energy(std::istream& is, const char* tag) {
   return e;
 }
 
-/// The one SimParams configuration the daemon simulates (and therefore
-/// caches) under: defaults with the point's core count. Mirrors
-/// Server::simulate_point.
-sim::SimParams canonical_params(std::uint32_t cores) {
-  sim::SimParams params{};
-  params.num_cores = cores;
-  return params;
-}
+/// The defaults every persisted row was simulated under (at its point's
+/// core count). A file written by a build with other defaults holds rows
+/// this build would not reproduce.
+std::string params_stamp() { return "params=" + params_fingerprint(sim::SimParams{}); }
 
 }  // namespace
+
+ResultKey result_key(const engine::GridPoint& point, bool verify) {
+  ResultKey key;
+  key.workload = point.name();
+  key.variant = static_cast<int>(point.variant);
+  key.n = point.config.n;
+  key.block = point.config.block;
+  key.seed = point.config.seed;
+  key.cores = point.config.cores;
+  key.tile = point.config.tile;
+  key.verify = verify;
+  return key;
+}
 
 std::string params_fingerprint(const sim::SimParams& p) {
   std::string out;
@@ -227,7 +236,7 @@ void ResultCache::fail(const ResultKey& key, const EntryPtr& entry, const std::s
 
 std::size_t ResultCache::save(std::ostream& os) const {
   std::lock_guard lock(mutex_);
-  os << kMagic << " v" << kVersion << ' ' << layout_stamp() << '\n';
+  os << kMagic << ' ' << kVersion << ' ' << layout_stamp() << ' ' << params_stamp() << '\n';
   std::size_t written = 0;
   // Back-to-front (LRU first): load() re-inserts each entry at the MRU end,
   // so reading in this order reproduces today's recency ranking.
@@ -240,11 +249,9 @@ std::size_t ResultCache::save(std::ostream& os) const {
       if (!entry->ready || entry->failed) continue;  // in-flight entries are not results
       row = entry->row;
     }
-    // Guard against rows cached under a non-canonical simulator config (not
-    // producible by the daemon today); the fingerprint could not be
-    // reconstructed at load time, so skip rather than persist a lie.
-    if (key.params_fingerprint != params_fingerprint(canonical_params(key.cores))) continue;
-    if (row.steady) continue;  // likewise: the daemon never produces steady rows
+    // The daemon never produces steady rows, and the format has no place
+    // for their marginal metrics.
+    if (row.steady) continue;
     os << "point " << (key.verify ? 1 : 0) << ' ' << key.variant << ' ' << key.n << ' '
        << key.block << ' ' << key.seed << ' ' << key.cores << ' ' << key.tile << ' '
        << key.workload << '\n';
@@ -266,15 +273,18 @@ std::size_t ResultCache::save(std::ostream& os) const {
 std::size_t ResultCache::load(std::istream& is, const WorkloadResolver& resolver) {
   {
     auto header = expect_line(is, kMagic);
-    std::string version, layout;
-    header >> version >> layout;
-    const std::string want_version = "v" + std::to_string(kVersion);
-    if (version != want_version) {
-      throw Error("cache file version mismatch: got '" + version + "', want '" + want_version + "'");
+    std::string version, layout, params;
+    header >> version >> layout >> params;
+    if (version != kVersion) {
+      throw Error("cache file version mismatch: got '" + version + "', want '" + kVersion + "'");
     }
     if (layout != layout_stamp()) {
       throw Error("cache file counter layout mismatch: got '" + layout + "', want '" +
                   layout_stamp() + "' (stale file from another build)");
+    }
+    if (params != params_stamp()) {
+      throw Error("cache file was written under other simulator defaults (stale file from "
+                  "another build)");
     }
   }
   std::size_t restored = 0;
@@ -291,7 +301,6 @@ std::size_t ResultCache::load(std::istream& is, const WorkloadResolver& resolver
         key.workload;
     if (!ls || key.workload.empty()) throw Error("cache file: malformed point line");
     key.verify = verify != 0;
-    key.params_fingerprint = params_fingerprint(canonical_params(key.cores));
 
     engine::ResultRow row;
     std::size_t harts = 0;
@@ -319,8 +328,7 @@ std::size_t ResultCache::load(std::istream& is, const WorkloadResolver& resolver
     row.point.config.seed = key.seed;
     row.point.config.cores = key.cores;
     row.point.config.tile = key.tile;
-    row.point.params_label = "default";
-    row.point.params = canonical_params(key.cores);
+    row.point.params.num_cores = key.cores;  // the defaults, as the daemon ran it
 
     auto entry = std::make_shared<Entry>();
     entry->ready = true;

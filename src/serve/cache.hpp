@@ -1,10 +1,10 @@
 // Bounded LRU memoization cache for simulation results.
 //
-// Every simulated run is a pure function of (workload, variant, config
-// values, SimParams, cores, seed) — the exact coordinates ProgramCache keys
-// assembled programs on, extended with a SimParams fingerprint and the
-// verify flag. The serving layer therefore never simulates the same point
-// twice while it stays resident: repeat requests hit the cache, and
+// The daemon simulates every grid point under the default SimParams at the
+// point's core count, so a result is a pure function of the point's grid
+// coordinates — the exact ones ProgramCache keys assembled programs on —
+// and the verify flag. The serving layer therefore never simulates the same
+// point twice while it stays resident: repeat requests hit the cache, and
 // identical *in-flight* points coalesce onto one computation (N concurrent
 // clients asking for the same sweep trigger one simulation; the other N-1
 // wait on the shared entry).
@@ -28,9 +28,10 @@
 namespace copift::serve {
 
 /// Cache coordinates of one simulated grid point. Mirrors ProgramCache's
-/// (name, variant, n, block, seed, cores, tile) key, plus the simulator
-/// configuration (fingerprinted field-by-field) and whether golden-reference
-/// verification ran — two runs that differ in either are different results.
+/// (name, variant, n, block, seed, cores, tile) key, plus whether
+/// golden-reference verification ran — two runs that differ in it are
+/// different results. The simulator defaults are not part of the key; a
+/// persisted file stamps them in its header instead.
 struct ResultKey {
   std::string workload;
   int variant = 0;
@@ -39,11 +40,13 @@ struct ResultKey {
   std::uint32_t seed = 0;
   std::uint32_t cores = 0;
   std::uint32_t tile = 0;
-  std::string params_fingerprint;
   bool verify = true;
 
   auto operator<=>(const ResultKey&) const = default;
 };
+
+/// The key of `point` run with `verify`.
+ResultKey result_key(const engine::GridPoint& point, bool verify);
 
 /// Canonical field-by-field serialization of SimParams (including FPU
 /// latencies). Two SimParams with equal fingerprints produce bit-identical
@@ -107,16 +110,15 @@ class ResultCache {
   using WorkloadResolver =
       std::function<std::shared_ptr<const workload::Workload>(const std::string&)>;
 
-  /// Persist every completed (ready, non-failed) entry whose key matches the
-  /// canonical serving configuration (default SimParams at the point's core
-  /// count — the only configuration the daemon ever caches under) to a
-  /// version-stamped text stream, least-recently-used first so load()
-  /// restores the LRU order. In-flight entries are skipped. Returns the
-  /// number of entries written.
+  /// Persist every completed (ready, non-failed, non-steady) entry to a
+  /// text stream whose header stamps the format version, the counters'
+  /// layout and the default SimParams' fingerprint, least-recently-used
+  /// first so load() restores the LRU order. In-flight entries are skipped.
+  /// Returns the number of entries written.
   std::size_t save(std::ostream& os) const;
 
-  /// Reload entries written by save(). The header's version stamp and
-  /// counter-layout size must match this build exactly; throws copift::Error
+  /// Reload entries written by save(). The header's version, layout and
+  /// SimParams stamps must match this build exactly; throws copift::Error
   /// otherwise (callers typically warn and start empty). Entries whose
   /// workload the resolver cannot map are skipped; already-resident keys are
   /// kept (the live entry wins). Each restored entry counts toward

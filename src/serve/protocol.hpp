@@ -1,11 +1,9 @@
 // Wire protocol for the copift_serve daemon: line-delimited JSON.
 //
 // Every message — request or response — is one JSON object on one line,
-// terminated by '\n'. The repo could already *write* JSON (ResultTable,
-// trace export); this header adds the missing half: a small recursive-descent
-// JSON parser (serve::Json) plus the typed request schema the server
-// validates against, with the same descriptive value-carrying errors the
-// workload registry uses.
+// terminated by '\n'. Requests are read with common/json's parser; this
+// header adds the typed request schema the server validates against, with
+// the same descriptive value-carrying errors the workload registry uses.
 //
 // Requests (client -> server):
 //   {"id":1,"type":"run","workloads":["exp"],"variants":["copift"],
@@ -23,99 +21,26 @@
 #pragma once
 
 #include <cstdint>
-#include <map>
-#include <memory>
 #include <string>
 #include <string_view>
-#include <utility>
 #include <vector>
 
-#include "common/error.hpp"
+#include "common/json.hpp"
+#include "engine/experiment.hpp"
 #include "workload/workload.hpp"
 
 namespace copift::serve {
 
 /// Raised on malformed JSON or a request that violates the schema. Parse
 /// errors carry the byte offset of the offending character; validation
-/// errors name the offending key and value.
-class ProtocolError : public Error {
- public:
-  explicit ProtocolError(const std::string& what) : Error("protocol error: " + what) {}
-};
+/// errors name the offending key and value. The JSON reader's own error
+/// type, so one catch covers both.
+using ProtocolError = JsonError;
+using copift::Json;
 
-/// An immutable JSON value: null, bool, number, string, array or object.
-/// Integer literals that fit in 64 bits are kept exact alongside the double
-/// view, so cycle counts survive a round trip bit-for-bit.
-class Json {
- public:
-  enum class Type { kNull, kBool, kNumber, kString, kArray, kObject };
-  using Array = std::vector<Json>;
-  /// Insertion-ordered (a std::map would silently reorder keys and hide
-  /// duplicate-key bugs; the parser rejects duplicates instead).
-  using Object = std::vector<std::pair<std::string, Json>>;
-
-  Json() = default;  // null
-  static Json boolean(bool v);
-  static Json number(double v);
-  static Json number(std::uint64_t v);
-  static Json number(std::int64_t v);
-  static Json string(std::string v);
-  static Json array(Array v);
-  static Json object(Object v);
-
-  /// Parse exactly one JSON document; trailing non-whitespace is an error.
-  /// Throws ProtocolError with the byte offset on malformed input. `depth`
-  /// bounds nesting so hostile input cannot overflow the parser stack.
-  static Json parse(std::string_view text, unsigned max_depth = 64);
-
-  [[nodiscard]] Type type() const noexcept { return type_; }
-  [[nodiscard]] bool is_null() const noexcept { return type_ == Type::kNull; }
-  [[nodiscard]] bool is_bool() const noexcept { return type_ == Type::kBool; }
-  [[nodiscard]] bool is_number() const noexcept { return type_ == Type::kNumber; }
-  [[nodiscard]] bool is_string() const noexcept { return type_ == Type::kString; }
-  [[nodiscard]] bool is_array() const noexcept { return type_ == Type::kArray; }
-  [[nodiscard]] bool is_object() const noexcept { return type_ == Type::kObject; }
-
-  /// Typed accessors; throw ProtocolError naming the actual type on mismatch.
-  [[nodiscard]] bool as_bool() const;
-  [[nodiscard]] double as_number() const;
-  /// The value as an exact unsigned integer; throws when the literal was
-  /// fractional, negative, or does not fit (value carried in the message).
-  [[nodiscard]] std::uint64_t as_u64() const;
-  [[nodiscard]] std::uint32_t as_u32() const;
-  [[nodiscard]] const std::string& as_string() const;
-  [[nodiscard]] const Array& as_array() const;
-  [[nodiscard]] const Object& as_object() const;
-
-  /// Object member lookup; nullptr when absent (throws on non-objects).
-  [[nodiscard]] const Json* find(std::string_view key) const;
-  /// Object member that must exist; the error names the missing key.
-  [[nodiscard]] const Json& at(std::string_view key) const;
-
-  /// Serialize back to compact (single-line) JSON text. Exact-integer
-  /// numbers print as integers; other numbers round-trip via 17 significant
-  /// digits, matching ResultTable's writer.
-  [[nodiscard]] std::string dump() const;
-  void dump_to(std::string& out) const;
-
-  /// Escape + quote `value` per RFC 8259 (shared with response builders).
-  static void append_quoted(std::string& out, std::string_view value);
-
- private:
-  Type type_ = Type::kNull;
-  bool bool_ = false;
-  double number_ = 0.0;
-  // Exact-integer sidecar for number values (kIntNone when fractional/huge).
-  enum class IntKind { kNone, kUnsigned, kNegative } int_kind_ = IntKind::kNone;
-  std::uint64_t uint_ = 0;  // magnitude; kNegative means value is -(int64)uint_
-  std::string string_;
-  std::shared_ptr<const Array> array_;
-  std::shared_ptr<const Object> object_;
-};
-
-/// A validated client request. `grid` axes mirror engine::ParamGrid; empty
-/// axes were absent from the JSON and take the workload defaults when the
-/// server materializes the sweep.
+/// A validated client request. Its axes mirror engine::ParamGrid's; empty
+/// axes were absent from the JSON and take each workload's defaults in
+/// request_grid.
 struct Request {
   enum class Type { kRun, kHealth, kStats };
 
@@ -142,9 +67,10 @@ struct Request {
 /// expanded grid size.
 Request parse_request(std::string_view line, std::size_t max_points);
 
-/// `ResultTable::json()` output is a multi-line document whose newlines only
-/// ever separate tokens (strings escape theirs), so stripping them yields the
-/// same document on one line — the form the wire protocol needs.
-std::string single_line(std::string_view json_text);
+/// The grid of one of the request's workloads: the request's axes, each
+/// absent one filled from that workload's defaults, and the default
+/// SimParams. A reply's rows are the points of its workloads' grids, in
+/// request order.
+engine::ParamGrid request_grid(const Request& request, const std::string& workload);
 
 }  // namespace copift::serve

@@ -7,8 +7,6 @@
 #include <sys/time.h>
 #include <unordered_map>
 
-#include "kernels/runner.hpp"
-
 namespace copift::serve {
 
 namespace {
@@ -175,7 +173,9 @@ bool Server::handle_line(const std::shared_ptr<Client>& client, const std::strin
 
   PendingRequest pending;
   pending.client = client;
-  pending.points = expand(request);
+  for (const auto& name : request.workloads) {
+    pending.points += pending.grids.emplace_back(request_grid(request, name)).size();
+  }
   pending.request = std::move(request);
   pending.client_seq = client->next_seq++;
 
@@ -185,11 +185,11 @@ bool Server::handle_line(const std::shared_ptr<Client>& client, const std::strin
   // order must hold. A failed send means the client is gone, so the request
   // is dropped instead of simulated for nobody.
   const std::string accepted = event_prefix(pending.request.id, "accepted") +
-                               ",\"points\":" + std::to_string(pending.points.size()) + "}";
+                               ",\"points\":" + std::to_string(pending.points) + "}";
   if (!client->conn.send_line(accepted)) return false;
 
   requests_received_.fetch_add(1, std::memory_order_relaxed);
-  points_requested_.fetch_add(pending.points.size(), std::memory_order_relaxed);
+  points_requested_.fetch_add(pending.points, std::memory_order_relaxed);
   inflight_.fetch_add(1, std::memory_order_relaxed);
   {
     std::lock_guard lock(queue_mutex_);
@@ -197,52 +197,6 @@ bool Server::handle_line(const std::shared_ptr<Client>& client, const std::strin
   }
   queue_cv_.notify_all();
   return true;
-}
-
-std::vector<Server::PointSpec> Server::expand(const Request& request) {
-  // Axis nesting mirrors ParamGrid's row-major order (workloads, variants,
-  // n, block, cores, tiles, seeds — last fastest) so a response table is
-  // ordered exactly like the equivalent batch-mode Experiment's.
-  std::vector<PointSpec> points;
-  const auto& registry = workload::WorkloadRegistry::instance();
-  for (const auto& name : request.workloads) {
-    const auto wl = registry.at(name);
-    const auto defaults = wl->default_config();
-    const auto variants =
-        request.variants.empty() ? std::vector<workload::Variant>{wl->default_variant()}
-                                 : request.variants;
-    const auto ns = request.ns.empty() ? std::vector<std::uint32_t>{defaults.n} : request.ns;
-    const auto blocks =
-        request.blocks.empty() ? std::vector<std::uint32_t>{defaults.block} : request.blocks;
-    const auto cores =
-        request.cores.empty() ? std::vector<std::uint32_t>{defaults.cores} : request.cores;
-    const auto tiles =
-        request.tiles.empty() ? std::vector<std::uint32_t>{defaults.tile} : request.tiles;
-    const auto seeds =
-        request.seeds.empty() ? std::vector<std::uint32_t>{defaults.seed} : request.seeds;
-    for (const auto variant : variants) {
-      for (const auto n : ns) {
-        for (const auto block : blocks) {
-          for (const auto core_count : cores) {
-            for (const auto tile : tiles) {
-              for (const auto seed : seeds) {
-                PointSpec spec;
-                spec.workload = name;
-                spec.variant = variant;
-                spec.config.n = n;
-                spec.config.block = block;
-                spec.config.seed = seed;
-                spec.config.cores = core_count;
-                spec.config.tile = tile;
-                points.push_back(std::move(spec));
-              }
-            }
-          }
-        }
-      }
-    }
-  }
-  return points;
 }
 
 // --- scheduling -------------------------------------------------------------
@@ -291,15 +245,10 @@ void Server::run_epoch(std::vector<PendingRequest> epoch) {
   };
   struct Job {
     ResultKey key;
-    const PointSpec* spec = nullptr;
+    engine::GridPoint point;
     bool verify = true;
     ResultCache::EntryPtr entry;
   };
-
-  const std::string fingerprint_base = [] {
-    sim::SimParams p;
-    return params_fingerprint(p);
-  }();
 
   std::vector<std::unique_ptr<ReqState>> states;
   std::vector<std::vector<Job>> jobs_per_request;
@@ -311,43 +260,33 @@ void Server::run_epoch(std::vector<PendingRequest> epoch) {
     state->req = &pending;
     state->t0 = std::chrono::steady_clock::now();
     jobs_per_request.emplace_back();
-    for (const auto& spec : pending.points) {
-      ResultKey key;
-      key.workload = spec.workload;
-      key.variant = static_cast<int>(spec.variant);
-      key.n = spec.config.n;
-      key.block = spec.config.block;
-      key.seed = spec.config.seed;
-      key.cores = spec.config.cores;
-      key.tile = spec.config.tile;
-      // All server runs use default SimParams with num_cores = the point's
-      // cores value; that value is already the `cores` component, so the
-      // base fingerprint is shared.
-      key.params_fingerprint = fingerprint_base;
-      key.verify = pending.request.verify;
-
-      ResultCache::EntryPtr entry;
-      const auto claim = cache_.lookup_or_claim(key, entry);
-      switch (claim) {
-        case ResultCache::Claim::kHit:
-          ++state->hits;
-          state->done.fetch_add(1, std::memory_order_relaxed);
-          break;
-        case ResultCache::Claim::kOwned:
-          ++state->owned;
-          subscribers[entry.get()].push_back(state.get());
-          jobs_per_request.back().push_back(
-              Job{key, &spec, pending.request.verify, entry});
-          break;
-        case ResultCache::Claim::kShared:
-          // The owner is earlier in this same epoch (the scheduler fully
-          // drains each epoch before starting the next, so no entry stays
-          // in flight across epochs).
-          ++state->coalesced;
-          subscribers[entry.get()].push_back(state.get());
-          break;
+    const bool verify = pending.request.verify;
+    state->points.reserve(pending.points);
+    for (const engine::ParamGrid& grid : pending.grids) {
+      for (std::size_t i = 0; i < grid.size(); ++i) {
+        engine::GridPoint point = grid.point(i);
+        ResultKey key = result_key(point, verify);
+        ResultCache::EntryPtr entry;
+        switch (cache_.lookup_or_claim(key, entry)) {
+          case ResultCache::Claim::kHit:
+            ++state->hits;
+            state->done.fetch_add(1, std::memory_order_relaxed);
+            break;
+          case ResultCache::Claim::kOwned:
+            ++state->owned;
+            subscribers[entry.get()].push_back(state.get());
+            jobs_per_request.back().push_back(Job{key, std::move(point), verify, entry});
+            break;
+          case ResultCache::Claim::kShared:
+            // The owner is earlier in this same epoch (the scheduler fully
+            // drains each epoch before starting the next, so no entry stays
+            // in flight across epochs).
+            ++state->coalesced;
+            subscribers[entry.get()].push_back(state.get());
+            break;
+        }
+        state->points.emplace_back(std::move(key), std::move(entry));
       }
-      state->points.emplace_back(std::move(key), std::move(entry));
     }
     states.push_back(std::move(state));
   }
@@ -385,7 +324,7 @@ void Server::run_epoch(std::vector<PendingRequest> epoch) {
         [&](std::size_t i) {
           Job& job = jobs[i];
           try {
-            auto row = simulate_point(*job.spec, job.verify, programs);
+            auto row = engine::run_point(job.point, job.verify, programs);
             points_simulated_.fetch_add(1, std::memory_order_relaxed);
             cache_.publish(job.entry, std::move(row));
           } catch (const std::exception& e) {
@@ -433,9 +372,9 @@ void Server::run_epoch(std::vector<PendingRequest> epoch) {
       const auto elapsed = std::chrono::duration<double, std::milli>(
                                std::chrono::steady_clock::now() - state->t0)
                                .count();
-      const engine::ResultTable table(std::move(rows));
       std::string msg = event_prefix(pending.request.id, "result");
-      msg += ",\"rows\":" + single_line(table.json());
+      msg += ",\"rows\":";
+      engine::ResultTable(std::move(rows)).append_json(msg, /*one_line=*/true);
       char elapsed_buf[40];
       std::snprintf(elapsed_buf, sizeof(elapsed_buf), ",\"elapsed_ms\":%.3f", elapsed);
       msg += elapsed_buf;
@@ -447,24 +386,6 @@ void Server::run_epoch(std::vector<PendingRequest> epoch) {
     }
     inflight_.fetch_sub(1, std::memory_order_relaxed);
   }
-}
-
-engine::ResultRow Server::simulate_point(const PointSpec& spec, bool verify,
-                                         engine::ProgramCache& programs) const {
-  // Mirrors Experiment::run's non-steady path exactly (default SimParams
-  // with the point's core count, default energy model), so served rows are
-  // bit-identical to batch-mode sweeps.
-  const auto wl = workload::WorkloadRegistry::instance().at(spec.workload);
-  engine::ResultRow row;
-  row.point.workload = wl;
-  row.point.variant = spec.variant;
-  row.point.config = spec.config;
-  row.point.params_label = "default";
-  row.point.params = sim::SimParams{};
-  row.point.params.num_cores = spec.config.cores;
-  const auto kernel = wl->instantiate(spec.variant, spec.config);
-  row.run = kernels::run_kernel(kernel, programs.get(kernel), row.point.params, verify);
-  return row;
 }
 
 // --- stats ------------------------------------------------------------------

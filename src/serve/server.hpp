@@ -101,13 +101,6 @@ class Server {
   [[nodiscard]] ServerStats stats() const;
 
  private:
-  /// One fully resolved grid coordinate of a run request.
-  struct PointSpec {
-    std::string workload;
-    workload::Variant variant = workload::Variant::kCopift;
-    workload::WorkloadConfig config{};
-  };
-
   struct Client {
     explicit Client(int fd) : conn(fd) {}
     std::uint64_t id = 0;
@@ -118,7 +111,8 @@ class Server {
   struct PendingRequest {
     std::shared_ptr<Client> client;
     Request request;
-    std::vector<PointSpec> points;
+    std::vector<engine::ParamGrid> grids;  // one per workload (request_grid)
+    std::size_t points = 0;                // total over the grids
     std::uint64_t client_seq = 0;  // fairness: round-robin key across clients
   };
 
@@ -127,9 +121,6 @@ class Server {
   void scheduler_loop();
   void run_epoch(std::vector<PendingRequest> epoch);
   bool handle_line(const std::shared_ptr<Client>& client, const std::string& line);
-  [[nodiscard]] static std::vector<PointSpec> expand(const Request& request);
-  [[nodiscard]] engine::ResultRow simulate_point(const PointSpec& spec, bool verify,
-                                                 engine::ProgramCache& programs) const;
   [[nodiscard]] std::string stats_json(std::uint64_t id, const char* event) const;
   void load_cache_file();
   void save_cache_file();

@@ -6,36 +6,15 @@
 #include <cstring>
 #include <map>
 #include <ostream>
-#include <sstream>
 #include <vector>
 
 #include "common/error.hpp"
+#include "common/json.hpp"
 #include "sim/cluster.hpp"
 
 namespace copift::sim {
 
 namespace {
-
-void write_json_string(std::ostream& os, std::string_view s) {
-  os << '"';
-  for (const char c : s) {
-    switch (c) {
-      case '"': os << "\\\""; break;
-      case '\\': os << "\\\\"; break;
-      case '\n': os << "\\n"; break;
-      case '\t': os << "\\t"; break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          char buf[8];
-          std::snprintf(buf, sizeof(buf), "\\u%04x", c);
-          os << buf;
-        } else {
-          os << c;
-        }
-    }
-  }
-  os << '"';
-}
 
 // Perfetto assigns colors by slice name, so giving stall slices their cause
 // name ("int/raw", "fp/ssr", ...) colors each cause consistently.
@@ -69,10 +48,10 @@ std::vector<Slice> merge_stalls(const std::vector<StallEvent>& events, TraceUnit
   return slices;
 }
 
-void write_event_prefix(std::ostream& os, bool& first) {
-  if (!first) os << ",\n";
+void append_event_prefix(std::string& out, bool& first) {
+  if (!first) out += ",\n";
   first = false;
-  os << "    ";
+  out += "    ";
 }
 
 double pct(std::uint64_t part, std::uint64_t whole) {
@@ -103,54 +82,58 @@ void append_breakdown(std::string& out, const char* header, const ActivityCounte
   }
 }
 
-/// Emit one tracer's metadata + events as track group `pid` (Perfetto shows
-/// each pid as a named group with its tid tracks inside).
-void write_tracer_group(std::ostream& os, bool& first, const Tracer& tracer, unsigned pid,
-                        const std::string& process_name) {
+/// Append one tracer's metadata + events as track group `pid` (Perfetto
+/// shows each pid as a named group with its tid tracks inside).
+void append_tracer_group(std::string& out, bool& first, const Tracer& tracer, unsigned pid,
+                         const std::string& process_name) {
+  const std::string pid_field = "{\"ph\":\"M\",\"pid\":" + std::to_string(pid);
   const auto thread_name = [&](unsigned tid, const char* name) {
-    write_event_prefix(os, first);
-    os << "{\"ph\":\"M\",\"pid\":" << pid << ",\"tid\":" << tid
-       << ",\"name\":\"thread_name\",\"args\":{\"name\":\"" << name << "\"}}";
+    append_event_prefix(out, first);
+    out += pid_field + ",\"tid\":" + std::to_string(tid) +
+           ",\"name\":\"thread_name\",\"args\":{\"name\":\"" + name + "\"}}";
   };
-  write_event_prefix(os, first);
-  os << "{\"ph\":\"M\",\"pid\":" << pid << ",\"name\":\"process_name\",\"args\":{\"name\":";
-  write_json_string(os, process_name);
-  os << "}}";
+  append_event_prefix(out, first);
+  out += pid_field + ",\"name\":\"process_name\",\"args\":{\"name\":";
+  Json::append_quoted(out, process_name);
+  out += "}}";
   thread_name(0, "int core");
   thread_name(1, "fpss");
 
+  // A complete ("X") event's fields up to its name.
+  const auto slice = [&](unsigned tid, std::uint64_t ts, std::uint64_t dur, const char* cat) {
+    append_event_prefix(out, first);
+    out += "{\"ph\":\"X\",\"pid\":" + std::to_string(pid) + ",\"tid\":" +
+           std::to_string(tid) + ",\"ts\":" + std::to_string(ts) +
+           ",\"dur\":" + std::to_string(dur) + ",\"cat\":\"" + cat + "\",\"name\":";
+  };
+
   // Retired instructions: one 1-cycle slice each, named by disassembly.
   for (const TraceEntry& e : tracer.entries()) {
-    write_event_prefix(os, first);
-    const unsigned tid = e.unit == TraceUnit::kIntCore ? 0 : 1;
-    const char* cat = e.unit == TraceUnit::kFrepReplay ? "replay" : "retire";
-    os << "{\"ph\":\"X\",\"pid\":" << pid << ",\"tid\":" << tid << ",\"ts\":" << e.cycle
-       << ",\"dur\":1,\"cat\":\"" << cat << "\",\"name\":";
-    write_json_string(os, isa::disassemble(e.instr));
-    os << ",\"args\":{";
+    slice(e.unit == TraceUnit::kIntCore ? 0 : 1, e.cycle, 1,
+          e.unit == TraceUnit::kFrepReplay ? "replay" : "retire");
+    Json::append_quoted(out, isa::disassemble(e.instr));
     if (e.pc != 0) {
       char pcbuf[16];
       std::snprintf(pcbuf, sizeof(pcbuf), "0x%x", e.pc);
-      os << "\"pc\":\"" << pcbuf << "\"";
+      out += ",\"args\":{\"pc\":\"" + std::string(pcbuf) + "\"}}";
     } else {
-      os << "\"pc\":\"(fpss)\"";
+      out += ",\"args\":{\"pc\":\"(fpss)\"}}";
     }
-    os << "}}";
   }
 
   // Stall/idle/occupied spans, merged into maximal same-cause runs.
   for (const TraceUnit unit : {TraceUnit::kIntCore, TraceUnit::kFpss}) {
     const unsigned tid = unit == TraceUnit::kIntCore ? 0 : 1;
     for (const Slice& s : merge_stalls(tracer.stalls(), unit)) {
-      write_event_prefix(os, first);
-      os << "{\"ph\":\"X\",\"pid\":" << pid << ",\"tid\":" << tid << ",\"ts\":" << s.start
-         << ",\"dur\":" << s.dur << ",\"cat\":\"" << slot_category(cause_info(s.cause).kind)
-         << "\",\"name\":";
-      write_json_string(os, cause_info(s.cause).name);
-      os << ",\"args\":{\"cycles\":" << s.dur << "}}";
+      slice(tid, s.start, s.dur, slot_category(cause_info(s.cause).kind));
+      Json::append_quoted(out, cause_info(s.cause).name);
+      out += ",\"args\":{\"cycles\":" + std::to_string(s.dur) + "}}";
     }
   }
 }
+
+constexpr const char* kTraceHead = "{\n  \"displayTimeUnit\": \"ns\",\n  \"traceEvents\": [\n";
+constexpr const char* kTraceTail = "\n  ]\n}\n";
 
 }  // namespace
 
@@ -158,10 +141,11 @@ void write_chrome_trace(std::ostream& os, const Tracer& tracer) {
   if (!tracer.enabled()) {
     throw Error("write_chrome_trace: tracer was not enabled for the run");
   }
-  os << "{\n  \"displayTimeUnit\": \"ns\",\n  \"traceEvents\": [\n";
+  std::string out = kTraceHead;
   bool first = true;
-  write_tracer_group(os, first, tracer, 0, "copift cluster");
-  os << "\n  ]\n}\n";
+  append_tracer_group(out, first, tracer, 0, "copift cluster");
+  out += kTraceTail;
+  os << out;
 }
 
 void write_chrome_trace(std::ostream& os, const Cluster& cluster) {
@@ -171,13 +155,13 @@ void write_chrome_trace(std::ostream& os, const Cluster& cluster) {
                   std::to_string(h) + " (use Cluster::set_tracing before run())");
     }
   }
-  os << "{\n  \"displayTimeUnit\": \"ns\",\n  \"traceEvents\": [\n";
+  std::string out = kTraceHead;
   bool first = true;
   for (unsigned h = 0; h < cluster.num_cores(); ++h) {
-    write_tracer_group(os, first, cluster.complex(h).tracer(), h,
-                       "hart " + std::to_string(h));
+    append_tracer_group(out, first, cluster.complex(h).tracer(), h, "hart " + std::to_string(h));
   }
-  os << "\n  ]\n}\n";
+  out += kTraceTail;
+  os << out;
 }
 
 std::string render_hart_summary(const Cluster& cluster) {

@@ -322,9 +322,17 @@ TEST(Experiment, SteadyModeMatchesSteadyMetricsAndIsDeterministic) {
   ASSERT_EQ(a.size(), 1u);
   const auto& row = a.at(0);
   ASSERT_TRUE(row.steady);
-  kernels::KernelConfig cfg;
-  cfg.block = 32;
-  const auto direct = kernels::steady_metrics("exp", Variant::kCopift, cfg, 320, 640);
+  // The same two runs by hand, combined by the same formula.
+  const auto exp = workload::WorkloadRegistry::instance().at("exp");
+  kernels::KernelConfig c1;
+  c1.block = 32;
+  c1.n = 320;
+  kernels::KernelConfig c2 = c1;
+  c2.n = 640;
+  const auto direct = kernels::steady_from_runs(
+      kernels::run_kernel(exp->instantiate(Variant::kCopift, c1)),
+      kernels::run_kernel(exp->instantiate(Variant::kCopift, c2)), exp->items(c1),
+      exp->items(c2));
   EXPECT_EQ(row.metrics.delta_cycles, direct.delta_cycles);
   EXPECT_EQ(row.metrics.ipc, direct.ipc);
   EXPECT_EQ(row.metrics.energy_pj_per_item, direct.energy_pj_per_item);

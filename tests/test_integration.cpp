@@ -100,12 +100,24 @@ TEST(Integration, CopiftSavesEnergyOnEveryKernel) {
   }
 }
 
+/// Steady-state metrics of `name` between n = n1 and n = n2.
+SteadyMetrics steady(std::string_view name, Variant variant, KernelConfig cfg,
+                     std::uint32_t n1, std::uint32_t n2) {
+  const auto wl = workload::WorkloadRegistry::instance().at(name);
+  KernelConfig c2 = cfg;
+  cfg.n = n1;
+  c2.n = n2;
+  return steady_from_runs(run_kernel(wl->instantiate(variant, cfg)),
+                          run_kernel(wl->instantiate(variant, c2)), wl->items(cfg),
+                          wl->items(c2));
+}
+
 TEST(Integration, SteadyStateMetricsMatchPaperShape) {
   KernelConfig cfg;
   cfg.block = 96;
   // exp: the paper's peak speedup (2.05x) and peak energy saving (1.93x).
-  const auto exp = steady_metrics("exp", Variant::kCopift, cfg, 960, 1920);
-  const auto exp_base = steady_metrics("exp", Variant::kBaseline, cfg, 960, 1920);
+  const auto exp = steady("exp", Variant::kCopift, cfg, 960, 1920);
+  const auto exp_base = steady("exp", Variant::kBaseline, cfg, 960, 1920);
   const double exp_speedup = exp_base.cycles_per_item / exp.cycles_per_item;
   EXPECT_GT(exp_speedup, 1.7);
   EXPECT_LT(exp_speedup, 2.3);

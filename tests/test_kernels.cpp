@@ -181,7 +181,7 @@ TEST(MonteCarlo, DifferentSeedsDiffer) {
 }
 
 TEST(MonteCarlo, RequiresUnrollMultiple) {
-  EXPECT_THROW(ref_pi_hits_lcg(1, 12), copift::Error);
+  EXPECT_THROW((void)ref_pi_hits_lcg(1, 12), copift::Error);
 }
 
 TEST(Generators, AllVariantsProduceAssembly) {

@@ -39,9 +39,9 @@ TEST(AddressSpace, LittleEndianLayout) {
 
 TEST(AddressSpace, UnmappedThrows) {
   AddressSpace m;
-  EXPECT_THROW(m.load32(0x100), SimError);
+  EXPECT_THROW((void)m.load32(0x100), SimError);
   EXPECT_THROW(m.store32(kTcdmBase + kTcdmSize, 1), SimError);
-  EXPECT_THROW(m.load64(kTcdmBase + kTcdmSize - 4), SimError);  // straddles end
+  EXPECT_THROW((void)m.load64(kTcdmBase + kTcdmSize - 4), SimError);  // straddles end
 }
 
 TEST(AddressSpace, BlockWriteAndCopy) {

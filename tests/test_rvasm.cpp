@@ -386,8 +386,8 @@ TEST(AsmErrors, MalformedNumbers) {
 TEST(AsmProgram, TextIndexChecks) {
   const Program p = asms("nop\nnop\n");
   EXPECT_EQ(p.text_index(kTextBase + 4), 1u);
-  EXPECT_THROW(p.text_index(kTextBase + 8), Error);
-  EXPECT_THROW(p.text_index(kTextBase + 2), Error);
+  EXPECT_THROW((void)p.text_index(kTextBase + 8), Error);
+  EXPECT_THROW((void)p.text_index(kTextBase + 2), Error);
 }
 
 // --- Pinned program images ----------------------------------------------------

@@ -4,6 +4,7 @@
 // server exercised over real sockets.
 #include <arpa/inet.h>
 #include <chrono>
+#include <cstdio>
 #include <cstring>
 #include <gtest/gtest.h>
 #include <netinet/in.h>
@@ -145,7 +146,9 @@ TEST(ServeJson, ResultTableJsonRoundTripsExactly) {
   const auto table = e.run(pool);
   ASSERT_EQ(table.size(), 1u);
 
-  const Json doc = Json::parse(serve::single_line(table.json()));
+  std::string line;
+  table.append_json(line, /*one_line=*/true);
+  const Json doc = Json::parse(line);
   ASSERT_TRUE(doc.is_array());
   ASSERT_EQ(doc.as_array().size(), 1u);
   const Json& row = doc.as_array().front();
@@ -280,7 +283,6 @@ serve::ResultKey test_key(std::uint32_t seed) {
   key.block = 16;
   key.seed = seed;
   key.cores = 1;
-  key.params_fingerprint = "test";
   return key;
 }
 
@@ -390,15 +392,11 @@ TEST(ServeCache, KeyDistinguishesParamsAndVerify) {
   auto base = test_key(1);
   auto no_verify = base;
   no_verify.verify = false;
-  auto other_params = base;
-  other_params.params_fingerprint = "different";
 
-  serve::ResultCache::EntryPtr a, b, c;
+  serve::ResultCache::EntryPtr a, b;
   EXPECT_EQ(cache.lookup_or_claim(base, a), serve::ResultCache::Claim::kOwned);
   EXPECT_EQ(cache.lookup_or_claim(no_verify, b), serve::ResultCache::Claim::kOwned);
-  EXPECT_EQ(cache.lookup_or_claim(other_params, c), serve::ResultCache::Claim::kOwned);
   EXPECT_NE(a.get(), b.get());
-  EXPECT_NE(a.get(), c.get());
 }
 
 TEST(ServeCache, ParamsFingerprintTracksEveryField) {
@@ -417,18 +415,9 @@ TEST(ServeCache, ParamsFingerprintTracksEveryField) {
 
 // --- cache persistence -------------------------------------------------------
 
-/// A key in the canonical serving configuration (the only kind save()
-/// persists): default SimParams at the key's core count.
 serve::ResultKey persist_key(std::uint32_t seed, std::uint32_t cores = 1) {
-  serve::ResultKey key;
-  key.workload = "exp";
-  key.n = 64;
-  key.block = 16;
-  key.seed = seed;
+  serve::ResultKey key = test_key(seed);
   key.cores = cores;
-  sim::SimParams params;
-  params.num_cores = cores;
-  key.params_fingerprint = serve::params_fingerprint(params);
   return key;
 }
 
@@ -543,16 +532,37 @@ TEST(ServeCachePersist, RejectsFileWithTheSameSizeButAnotherWordOrder) {
   EXPECT_EQ(cache.load(current, registry_resolver), 1u);
 }
 
+// The rows were simulated under the writer's SimParams defaults, which the
+// key does not carry: a file from a build with other defaults must take the
+// "ignoring cache file" path, not load as hits.
+TEST(ServeCachePersist, RejectsFileWrittenUnderOtherSimParamsDefaults) {
+  const auto [header, body] = saved_file();
+  const std::size_t at = header.find(" params=");
+  ASSERT_NE(at, std::string::npos) << header;
+  sim::SimParams other;
+  other.ssr_cfg_latency += 10;
+  serve::ResultCache cache(8);
+  std::stringstream stale(header.substr(0, at) + " params=" + serve::params_fingerprint(other) +
+                          "\n" + body);
+  EXPECT_THROW((void)cache.load(stale, registry_resolver), Error);
+  // The header earlier builds wrote, without the stamp.
+  std::stringstream unstamped(header.substr(0, at) + "\n" + body);
+  EXPECT_THROW((void)cache.load(unstamped, registry_resolver), Error);
+  EXPECT_EQ(cache.stats().reloaded, 0u);
+}
+
 TEST(ServeCachePersist, SkipsInFlightAndNonCanonicalEntries) {
   serve::ResultCache cache(8);
   // In flight: claimed but never published.
   serve::ResultCache::EntryPtr inflight;
   ASSERT_EQ(cache.lookup_or_claim(persist_key(1), inflight), serve::ResultCache::Claim::kOwned);
-  // Non-canonical fingerprint (a custom-params row; the daemon never makes
-  // one, and load could not reconstruct its SimParams).
-  serve::ResultCache::EntryPtr custom;
-  ASSERT_EQ(cache.lookup_or_claim(test_key(9), custom), serve::ResultCache::Claim::kOwned);
-  cache.publish(custom, dummy_row(9));
+  // A steady row (the daemon never makes one, and the file has no place for
+  // its marginal metrics).
+  serve::ResultCache::EntryPtr steady;
+  ASSERT_EQ(cache.lookup_or_claim(test_key(9), steady), serve::ResultCache::Claim::kOwned);
+  engine::ResultRow steady_row = dummy_row(9);
+  steady_row.steady = true;
+  cache.publish(steady, steady_row);
 
   std::stringstream file;
   EXPECT_EQ(cache.save(file), 0u);
@@ -679,7 +689,7 @@ TEST(ServeServer, ResultsAreBitIdenticalToBatchMode) {
   e.over({workload::Variant::kBaseline, workload::Variant::kCopift});
   engine::SimEngine pool(2);
   const auto table = e.run(pool);
-  const Json batch = Json::parse(serve::single_line(table.json()));
+  const Json batch = Json::parse(table.json());
 
   EXPECT_EQ(reply.at("rows").dump(), batch.dump());
   EXPECT_EQ(reply.at("rows").as_array().size(), 4u);
@@ -761,6 +771,58 @@ TEST(ServeServer, GracefulShutdownDrainsQueuedWork) {
   ASSERT_EQ(reply.at("event").as_string(), "result") << reply.dump();
   EXPECT_EQ(reply.at("rows").as_array().size(), 4u);
   server.wait();  // all threads join; no hang
+}
+
+TEST(ServeServer, StatsReplyIsOneJsonObject) {
+  serve::Server server(small_server_config());
+  server.start();
+  TestClient client(server.port());
+  client.send(R"({"id":4,"type":"stats"})");
+  const Json stats = client.final_event(4);  // parses the line
+  EXPECT_EQ(stats.at("event").as_string(), "stats");
+  EXPECT_EQ(stats.at("engine_threads").as_u64(), 2u);
+  EXPECT_EQ(stats.at("cache").at("capacity").as_u64(), 64u);
+  EXPECT_GE(stats.at("cache").at("hit_rate").as_number(), 0.0);
+}
+
+// A restarted daemon answers a multi-hart sweep from its --cache-file: every
+// point, whatever its core count, was persisted and reloads as a hit.
+TEST(ServeServer, CacheFileKeepsMultiHartResultsAcrossRestart) {
+  const std::string file = testing::TempDir() + "copift_serve_restart_" +
+                           std::to_string(::getpid()) + ".cache";
+  std::remove(file.c_str());
+  const std::string sweep = R"({"id":1,"type":"run","workloads":["axpy"],)"
+                            R"("cores":[1,2,4],"progress":false})";
+  serve::ServerConfig config = small_server_config();
+  config.cache_file = file;
+
+  std::string first_rows;
+  {
+    serve::Server server(config);
+    server.start();
+    TestClient client(server.port());
+    client.send(sweep);
+    const Json reply = client.final_event(1);
+    ASSERT_EQ(reply.at("event").as_string(), "result") << reply.dump();
+    EXPECT_EQ(reply.at("cache").at("simulated").as_u64(), 3u);
+    first_rows = reply.at("rows").dump();
+    server.request_shutdown();
+    server.wait();  // persists the cache
+  }
+
+  serve::Server server(config);
+  server.start();
+  EXPECT_EQ(server.stats().cache.reloaded, 3u);
+  TestClient client(server.port());
+  client.send(sweep);
+  const Json reply = client.final_event(1);
+  ASSERT_EQ(reply.at("event").as_string(), "result") << reply.dump();
+  EXPECT_EQ(reply.at("cache").at("simulated").as_u64(), 0u);
+  EXPECT_EQ(reply.at("cache").at("hits").as_u64(), 3u);
+  EXPECT_EQ(reply.at("rows").dump(), first_rows);
+  server.request_shutdown();
+  server.wait();
+  std::remove(file.c_str());
 }
 
 }  // namespace

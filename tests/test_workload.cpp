@@ -181,9 +181,16 @@ TEST(OpenWorkloads, SteadyMetricsWorkForRegisteredWorkloads) {
     EXPECT_GT(row.metrics.energy_pj_per_item, 0.0);
     EXPECT_TRUE(row.run.verified);
   }
-  // The direct steady helper agrees with the engine's steady mode.
-  const auto direct = kernels::steady_metrics("axpy", Variant::kBaseline, WorkloadConfig{},
-                                              128, 256);
+  // Two direct runs combined by hand agree with the engine's steady mode.
+  const auto axpy = WorkloadRegistry::instance().at("axpy");
+  WorkloadConfig c1;
+  c1.n = 128;
+  WorkloadConfig c2;
+  c2.n = 256;
+  const auto direct = kernels::steady_from_runs(
+      kernels::run_kernel(axpy->instantiate(Variant::kBaseline, c1)),
+      kernels::run_kernel(axpy->instantiate(Variant::kBaseline, c2)), axpy->items(c1),
+      axpy->items(c2));
   const auto* row = table.find("axpy", Variant::kBaseline);
   ASSERT_NE(row, nullptr);
   EXPECT_EQ(direct.delta_cycles, row->metrics.delta_cycles);

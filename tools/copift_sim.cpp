@@ -558,20 +558,9 @@ int main(int argc, char** argv) {
     }
     // Warn or fail before spending cycles on a broken program (strict mode
     // throws; the catch below renders the value-carrying diagnostics).
-    if (lint::pipeline_mode() != lint::Mode::kOff) {
-      const auto lint_report = lint::lint_program(program, params.num_cores);
-      if (!lint_report.clean()) {
-        const std::string header =
-            "lint: " + lint_what + ": " + std::to_string(lint_report.diags.size()) +
-            " diagnostic" + (lint_report.diags.size() == 1 ? "" : "s");
-        if (lint::pipeline_mode() == lint::Mode::kStrict) {
-          throw copift::Error(header + "\n" + lint_report.summary());
-        }
-        std::fprintf(stderr, "%s\n%s\n", header.c_str(), lint_report.summary().c_str());
-      } else if (lint_flag) {
-        std::printf("lint:          clean (%zu rules, %u hart%s)\n", lint::kNumRules,
-                    params.num_cores, params.num_cores == 1 ? "" : "s");
-      }
+    if (lint::pipeline_check(program, params.num_cores, lint_what) && lint_flag) {
+      std::printf("lint:          clean (%zu rules, %u hart%s)\n", lint::kNumRules,
+                  params.num_cores, params.num_cores == 1 ? "" : "s");
     }
     const auto t_linted = clock::now();
     sim::Cluster cluster(std::move(program), params);
