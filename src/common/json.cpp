@@ -365,10 +365,11 @@ class Parser {
     const std::string_view literal = text_.substr(start, pos_ - start);
     if (integral) {
       // Keep integers exact: a 64-bit cycle count must survive a round trip.
+      // "-0" has no integer form, so it takes the double path below.
       if (literal[0] == '-') {
         std::int64_t v = 0;
         const auto [p, ec] = std::from_chars(literal.begin() + 0, literal.end(), v);
-        if (ec == std::errc() && p == literal.end()) return Json::number(v);
+        if (ec == std::errc() && p == literal.end() && v != 0) return Json::number(v);
       } else {
         std::uint64_t v = 0;
         const auto [p, ec] = std::from_chars(literal.begin() + 0, literal.end(), v);

@@ -1,5 +1,7 @@
 #include "debug/rsp.hpp"
 
+#include <algorithm>
+
 namespace copift::debug::rsp {
 
 namespace {
@@ -178,18 +180,37 @@ void PacketReader::parse() {
       ++i;  // stray byte between frames: skip, as gdb stubs do
       continue;
     }
-    // Frame start: need `$...#xx` complete before consuming anything.
-    const std::size_t hash = buf_.find('#', i + 1);
-    if (hash == std::string::npos || hash + 2 >= buf_.size()) break;  // incomplete
-    const std::string_view body(buf_.data() + i + 1, hash - i - 1);
-    const int hi = hex_digit(buf_[hash + 1]);
-    const int lo = hex_digit(buf_[hash + 2]);
+    // Frame start: need `$...#xx` complete before consuming anything. Frames
+    // escape '$', so a '$' before the '#' starts a new frame: drop the
+    // partial one and resync there. scan_ skips the bytes of this frame that
+    // earlier feeds already searched.
+    const std::size_t end = buf_.find_first_of("$#", i + std::max<std::size_t>(scan_, 1));
+    if (end != std::string::npos && buf_[end] == '$') {
+      i = end;
+      scan_ = 0;
+      continue;
+    }
+    if (end == std::string::npos || end + 2 >= buf_.size()) {  // incomplete
+      if (buf_.size() - i > kPacketSize) {
+        // Longer than any packet the stub accepts: drop it, once.
+        events_.push_back({Event::Kind::kBadChecksum, {}});
+        i = buf_.size();
+        scan_ = 0;
+      } else {
+        scan_ = (end == std::string::npos ? buf_.size() : end) - i;
+      }
+      break;
+    }
+    const std::string_view body(buf_.data() + i + 1, end - i - 1);
+    const int hi = hex_digit(buf_[end + 1]);
+    const int lo = hex_digit(buf_[end + 2]);
     if (hi < 0 || lo < 0 || checksum(body) != ((hi << 4) | lo)) {
       events_.push_back({Event::Kind::kBadChecksum, {}});
     } else {
       events_.push_back({Event::Kind::kPacket, unescape(body)});
     }
-    i = hash + 3;
+    i = end + 3;
+    scan_ = 0;
   }
   buf_.erase(0, i);
 }

@@ -13,6 +13,7 @@
 // or a connection (tests/test_debug.cpp).
 #pragma once
 
+#include <cstddef>
 #include <cstdint>
 #include <deque>
 #include <optional>
@@ -52,10 +53,17 @@ namespace copift::debug::rsp {
 /// `m`/`M`/`Z` packets; empty or over-long input returns nullopt.
 [[nodiscard]] std::optional<std::uint64_t> parse_hex_num(std::string_view hex);
 
+/// Largest packet the stub accepts, advertised to gdb as qSupported's
+/// PacketSize.
+inline constexpr std::size_t kPacketSize = 4000;
+
 /// Incremental frame parser. feed() raw bytes as they arrive, then drain
 /// next() until it returns nullopt. Bad-checksum frames surface as
 /// kBadChecksum (the transport should answer `-`); garbage between frames
-/// is skipped, as gdb's own stubs do.
+/// is skipped, as gdb's own stubs do. A `$` inside an unterminated frame
+/// abandons it and starts a new one, and an unterminated frame that grows
+/// past kPacketSize is dropped with one kBadChecksum, so the buffer stays
+/// bounded whatever the peer sends.
 class PacketReader {
  public:
   struct Event {
@@ -66,11 +74,14 @@ class PacketReader {
 
   void feed(std::string_view bytes);
   [[nodiscard]] std::optional<Event> next();
+  /// Bytes held for an unterminated frame.
+  [[nodiscard]] std::size_t buffered() const noexcept { return buf_.size(); }
 
  private:
   void parse();
 
   std::string buf_;
+  std::size_t scan_ = 0;  // bytes of the frame at buf_[0] that earlier feeds searched
   std::deque<Event> events_;
 };
 

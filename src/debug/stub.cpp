@@ -209,7 +209,8 @@ std::string GdbStub::dispatch(std::string_view p) {
 
 std::string GdbStub::handle_query(std::string_view p) {
   if (p.rfind("qSupported", 0) == 0) {
-    return "PacketSize=4000;qXfer:features:read+;swbreak+;hwbreak+";
+    return "PacketSize=" + std::to_string(rsp::kPacketSize) +
+           ";qXfer:features:read+;swbreak+;hwbreak+";
   }
   if (p == "qC") return "QC" + std::to_string(hub_.focus_hart() + 1);
   if (p == "qfThreadInfo") {

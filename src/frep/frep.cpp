@@ -1,6 +1,7 @@
 #include "frep/frep.hpp"
 
 #include "common/error.hpp"
+#include "sim/decode.hpp"
 
 namespace copift::frep {
 
@@ -26,11 +27,11 @@ void FrepSequencer::configure(unsigned body_size, std::uint64_t extra_reps, Mode
 
 void FrepSequencer::record(const FrepEntry& entry) {
   if (state_ != State::kRecording) throw SimError("FREP record while not recording");
-  if (!entry.instr.meta().offloaded()) {
-    throw SimError("non-FP instruction inside FREP body: " + std::string(entry.instr.meta().name));
+  const isa::InstrInfo& meta = isa::info(entry.op->mnemonic);
+  if (!meta.offloaded()) {
+    throw SimError("non-FP instruction inside FREP body: " + std::string(meta.name));
   }
-  if (entry.instr.meta().unit == isa::ExecUnit::kFpLoad ||
-      entry.instr.meta().unit == isa::ExecUnit::kFpStore) {
+  if (meta.unit == isa::ExecUnit::kFpLoad || meta.unit == isa::ExecUnit::kFpStore) {
     throw SimError("FP load/store inside FREP body (map it to an SSR instead)");
   }
   buffer_.push_back(entry);

@@ -11,15 +11,20 @@
 #include <cstdint>
 #include <vector>
 
-#include "isa/instr.hpp"
+namespace copift::sim {
+struct MicroOp;
+}
 
 namespace copift::frep {
 
-/// One buffered FP instruction. `epoch` is the COPIFT synchronization epoch
-/// the instruction belongs to (see sim/fpss.hpp); replayed copies inherit
-/// the epoch of the recorded original.
+/// One buffered FP instruction: its decoded micro-op and the integer operand
+/// captured when it was offloaded (fcvt.d.w's source, say). `epoch` is the
+/// COPIFT synchronization epoch the instruction belongs to (see
+/// sim/fpss.hpp); replayed copies inherit the operand and epoch of the
+/// recorded original.
 struct FrepEntry {
-  isa::Instr instr;
+  const sim::MicroOp* op = nullptr;
+  std::uint32_t operand = 0;
   std::uint64_t epoch = 0;
 };
 

@@ -6,7 +6,7 @@
 
 namespace copift::mem {
 
-std::uint64_t TcdmArbiter::arbitrate(const std::vector<TcdmRequest>& requests) {
+std::uint64_t TcdmArbiter::arbitrate(std::span<const TcdmRequest> requests) {
   if (requests.size() > 64) throw SimError("too many TCDM requests in one cycle");
 
   // Fast path: when every request targets a distinct bank, the priority

@@ -8,6 +8,7 @@
 #pragma once
 
 #include <cstdint>
+#include <span>
 #include <vector>
 
 #include "common/layout.hpp"
@@ -51,7 +52,7 @@ class TcdmArbiter {
 
   /// Arbitrate one cycle. Returns a bitmask over `requests` indices: bit i is
   /// set iff requests[i] was granted. Priority rotates every cycle.
-  std::uint64_t arbitrate(const std::vector<TcdmRequest>& requests);
+  std::uint64_t arbitrate(std::span<const TcdmRequest> requests);
 
   /// Statistics.
   [[nodiscard]] std::uint64_t conflicts() const noexcept { return conflicts_; }

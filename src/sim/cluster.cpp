@@ -84,9 +84,9 @@ void Cluster::tick() {
   dma_.tick();
 
   // Phase 1: every agent of every hart decides what it wants from the TCDM
-  // this cycle.
-  requests_.clear();
-  tags_.clear();
+  // this cycle. A hart presents at most one request per port, so the
+  // fixed arrays always have room.
+  unsigned n = 0;
   // Whether hart h's core/fpss presented a request this cycle (commit must
   // still run for them on denial so the tcdm stall is attributed).
   std::array<std::uint8_t, kMaxHarts> core_pending{};
@@ -97,54 +97,44 @@ void Cluster::tick() {
   for (unsigned h = 0; h < complexes_.size(); ++h) {
     CoreComplex& cx = *complexes_[h];
     if (const auto core_req = cx.core().prepare(cycle_)) {
-      auto req = *core_req;
-      req.hart = h;
-      requests_.push_back(req);
-      tags_.push_back(RequestTag{h, RequestSrc::kCore, {}});
+      requests_[n] = *core_req;
+      requests_[n++].hart = h;
       core_pending[h] = 1;
     }
     if (const auto fpss_req = cx.fpss().prepare(cycle_)) {
-      auto req = *fpss_req;
-      req.hart = h;
-      requests_.push_back(req);
-      tags_.push_back(RequestTag{h, RequestSrc::kFpss, {}});
+      requests_[n] = *fpss_req;
+      requests_[n++].hart = h;
       fpss_pending[h] = 1;
     }
-    ssr_requests_.clear();
-    ssr_tags_.clear();
-    cx.ssr().collect_requests(ssr_requests_, ssr_tags_);
-    for (std::size_t i = 0; i < ssr_requests_.size(); ++i) {
-      auto req = ssr_requests_[i];
-      req.hart = h;
-      requests_.push_back(req);
-      tags_.push_back(RequestTag{h, RequestSrc::kSsr, ssr_tags_[i]});
-    }
+    n += cx.ssr().collect_requests(h, requests_.data() + n, ssr_tags_.data() + n);
   }
 
   // Phase 2: bank arbitration over the shared TCDM.
-  const std::uint64_t grants = requests_.empty() ? 0 : arbiter_.arbitrate(requests_);
+  const std::uint64_t grants = n == 0 ? 0 : arbiter_.arbitrate({requests_.data(), n});
 
   // Phase 3: commit, attributing every grant/denial to the owning hart.
-  for (std::size_t i = 0; i < requests_.size(); ++i) {
+  for (unsigned i = 0; i < n; ++i) {
     const bool granted = (grants >> i) & 1;
-    CoreComplex& cx = *complexes_[tags_[i].hart];
+    const unsigned h = requests_[i].hart;
+    CoreComplex& cx = *complexes_[h];
     if (!granted) ++cx.counters().tcdm_conflicts;
-    switch (tags_[i].src) {
-      case RequestSrc::kCore:
-        core_granted[tags_[i].hart] = granted ? 1 : 0;
+    switch (requests_[i].port) {
+      case mem::TcdmPort::kIntLsu:
+        core_granted[h] = granted ? 1 : 0;
         break;
-      case RequestSrc::kFpss:
-        fpss_granted[tags_[i].hart] = granted ? 1 : 0;
+      case mem::TcdmPort::kFpLsu:
+        fpss_granted[h] = granted ? 1 : 0;
         break;
-      case RequestSrc::kSsr:
+      default:  // an SSR lane or the ISSR index port
         if (granted) {
+          const ssr::SsrUnit::RequestTag& tag = ssr_tags_[i];
           ActivityCounters& c = cx.counters();
-          cx.ssr().apply_grant(tags_[i].ssr_tag);
+          cx.ssr().apply_grant(tag);
           ++c.ssr_elements;
-          if (tags_[i].ssr_tag.index) {
+          if (tag.index) {
             ++c.issr_indices;
             ++c.tcdm_reads;
-          } else if (cx.ssr().lane(tags_[i].ssr_tag.lane).is_write_stream()) {
+          } else if (cx.ssr().lane(tag.lane).is_write_stream()) {
             ++c.tcdm_writes;
           } else {
             ++c.tcdm_reads;

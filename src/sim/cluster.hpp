@@ -15,6 +15,7 @@
 // the simulation is bit-identical to the pre-topology model.
 #pragma once
 
+#include <array>
 #include <cstdint>
 #include <memory>
 #include <string>
@@ -124,13 +125,6 @@ class Cluster {
   /// " (cycle N; hart 0 pc 0x... <label+0xNN>; ...)": where a fault hit.
   [[nodiscard]] std::string fault_location() const;
 
-  enum class RequestSrc : std::uint8_t { kCore, kFpss, kSsr };
-  struct RequestTag {
-    unsigned hart;
-    RequestSrc src;
-    ssr::SsrUnit::RequestTag ssr_tag;
-  };
-
   std::shared_ptr<const rvasm::Program> program_;
   // Decode-once micro-op table, shared across clusters running the same
   // program (see sim/decode.hpp).
@@ -150,12 +144,12 @@ class Cluster {
   std::uint64_t cycle_ = 0;
   // Rebuilt on demand by counters() for multi-hart clusters.
   mutable ActivityCounters agg_;
-  // tick() scratch space, kept as members so the per-cycle hot path does no
-  // heap allocation (the vectors are cleared, not reallocated, every cycle).
-  std::vector<mem::TcdmRequest> requests_;
-  std::vector<RequestTag> tags_;
-  std::vector<mem::TcdmRequest> ssr_requests_;
-  std::vector<ssr::SsrUnit::RequestTag> ssr_tags_;
+  // tick() scratch space: one cycle's TCDM requests of every hart, the
+  // owner of each read from its hart and port. ssr_tags_[i] names the lane
+  // of an SSR request i and is unused at core and FPSS indices.
+  static constexpr unsigned kMaxRequests = kMaxHarts * mem::kNumTcdmPorts;
+  std::array<mem::TcdmRequest, kMaxRequests> requests_{};
+  std::array<ssr::SsrUnit::RequestTag, kMaxRequests> ssr_tags_{};
 };
 
 }  // namespace copift::sim

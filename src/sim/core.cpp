@@ -49,14 +49,6 @@ IntCore::IntCore(const SimParams& params, const DecodedProgram& decoded,
   wb_ring_mask_ = size - 1;
 }
 
-void IntCore::account(std::uint64_t now, StallCause cause) {
-  if (cause_info(cause).unit != TraceUnit::kIntCore) {
-    throw SimError("FPSS stall cause attributed to the integer core");
-  }
-  ++counters_->slot(cause);
-  tracer_->record_stall(now, TraceUnit::kIntCore, cause);
-}
-
 void IntCore::write_rd(unsigned rd, std::uint32_t value, std::uint64_t ready_at) {
   if (rd == 0) return;
   regs_[rd] = value;
@@ -148,7 +140,7 @@ bool IntCore::execute_csr(const MicroOp& op, std::uint64_t now) {
 void IntCore::offload_fp(const MicroOp& op, std::uint64_t now) {
   (void)now;
   OffloadEntry entry;
-  entry.instr = *op.instr;
+  entry.op = &op;
   entry.epoch = epoch_counter_;
   switch (op.unit) {
     case ExecUnit::kFpLoad:
@@ -167,7 +159,7 @@ void IntCore::offload_fp(const MicroOp& op, std::uint64_t now) {
   if (op.writes_int_rf() && op.rd != 0) {
     ready_[op.rd] = kBusy;  // cleared when the FPSS writeback drains
   }
-  fpss_->offload(std::move(entry));
+  fpss_->offload(entry);
 }
 
 std::optional<mem::TcdmRequest> IntCore::prepare(std::uint64_t now) {
@@ -175,13 +167,12 @@ std::optional<mem::TcdmRequest> IntCore::prepare(std::uint64_t now) {
 
   // Drain at most one FPSS integer writeback through the shared write port
   // (even after ecall, so in-flight FP results land before the run ends).
-  if (wb_free(now)) {
-    if (const auto wb = fpss_->take_int_writeback()) {
-      book_wb(now);
-      if (wb->rd != 0) {
-        regs_[wb->rd] = wb->value;
-        ready_[wb->rd] = now + 1;
-      }
+  if (fpss_->has_int_writeback() && wb_free(now)) {
+    const IntWriteback wb = fpss_->take_int_writeback();
+    book_wb(now);
+    if (wb.rd != 0) {
+      regs_[wb.rd] = wb.value;
+      ready_[wb.rd] = now + 1;
     }
   }
   if (halted_) {
@@ -318,12 +309,8 @@ std::optional<mem::TcdmRequest> IntCore::prepare(std::uint64_t now) {
         account(now, StallCause::kIntOffloadFull);
         return std::nullopt;
       }
-      OffloadEntry entry;
-      entry.instr = *op.instr;
-      entry.kind = OffloadKind::kFrepCfg;
-      entry.operand = regs_[op.rs1];  // extra repetitions
-      entry.epoch = epoch_counter_;
-      fpss_->offload(std::move(entry));
+      // Operand: the extra repetitions.
+      fpss_->offload(OffloadEntry{&op, OffloadKind::kFrepCfg, regs_[op.rs1], epoch_counter_});
       ++epoch_counter_;
       ++counters_->frep_cfg;
       retire_and_advance(pc_ + 4, now);
@@ -335,7 +322,7 @@ std::optional<mem::TcdmRequest> IntCore::prepare(std::uint64_t now) {
         return std::nullopt;
       }
       OffloadEntry entry;
-      entry.instr = *op.instr;
+      entry.op = &op;
       entry.epoch = epoch_counter_;
       if (op.mnemonic == Mnemonic::kScfgwi) {
         entry.kind = OffloadKind::kSsrCfgWrite;
@@ -344,7 +331,7 @@ std::optional<mem::TcdmRequest> IntCore::prepare(std::uint64_t now) {
         entry.kind = OffloadKind::kSsrCfgRead;
         if (op.rd != 0) ready_[op.rd] = kBusy;
       }
-      fpss_->offload(std::move(entry));
+      fpss_->offload(entry);
       ++counters_->ssr_cfg;
       retire_and_advance(pc_ + 4, now);
       return std::nullopt;

@@ -9,6 +9,7 @@
 #include <optional>
 #include <vector>
 
+#include "common/error.hpp"
 #include "mem/address_space.hpp"
 #include "mem/dma.hpp"
 #include "mem/l0_icache.hpp"
@@ -68,7 +69,13 @@ class IntCore {
   // Attribute a non-retiring issue-slot cycle: bumps the cause's
   // ActivityCounters slot and, when tracing, records the StallEvent — the
   // single place that keeps counters and trace in lockstep.
-  void account(std::uint64_t now, StallCause cause);
+  void account(std::uint64_t now, StallCause cause) {
+    if (cause_info(cause).unit != TraceUnit::kIntCore) {
+      throw SimError("FPSS stall cause attributed to the integer core");
+    }
+    ++counters_->slot(cause);
+    tracer_->record_stall(now, TraceUnit::kIntCore, cause);
+  }
   // Single RF write-port bookings live in a fixed ring indexed by cycle:
   // a slot blocks exactly the cycle stored in it, so entries for past cycles
   // go stale by construction and are overwritten in place — no per-cycle

@@ -24,11 +24,17 @@ DecodedProgram::DecodedProgram(std::shared_ptr<const rvasm::Program> program)
     op.rd = instr.rd;
     op.rs1 = instr.rs1;
     op.rs2 = instr.rs2;
+    op.rs3 = instr.rs3;
+    op.fpu_class = meta.fpu_class;
     op.sb_rd = meta.rd_class == RegClass::kInt ? instr.rd : 0;
     op.sb_rs1 = meta.rs1_class == RegClass::kInt ? instr.rs1 : 0;
     op.sb_rs2 = meta.rs2_class == RegClass::kInt ? instr.rs2 : 0;
     if (meta.writes_int_rf()) op.flags |= MicroOp::kWritesIntRf;
     if (meta.rs1_class == RegClass::kInt) op.flags |= MicroOp::kRs1Int;
+    if (meta.rs1_class == RegClass::kFp) op.fp_regs |= MicroOp::kFpRs1;
+    if (meta.rs2_class == RegClass::kFp) op.fp_regs |= MicroOp::kFpRs2;
+    if (meta.rs3_class == RegClass::kFp) op.fp_regs |= MicroOp::kFpRs3;
+    if (meta.rd_class == RegClass::kFp) op.fp_regs |= MicroOp::kFpRd;
     ops_.push_back(op);
   }
 }
@@ -56,12 +62,11 @@ std::shared_ptr<const DecodedProgram> DecodedProgram::get(
   return decoded;
 }
 
-std::uint32_t DecodedProgram::index_of(std::uint32_t pc) const {
+void DecodedProgram::bad_text_address(std::uint32_t pc) const {
   if (pc < text_base_ || (pc - text_base_) / 4 >= ops_.size()) {
-    throw Error("address outside text section: " + std::to_string(pc));
+    throw SimError("address outside text section: " + std::to_string(pc));
   }
-  if ((pc & 3U) != 0) throw Error("misaligned text address");
-  return (pc - text_base_) / 4;
+  throw SimError("misaligned text address");
 }
 
 }  // namespace copift::sim

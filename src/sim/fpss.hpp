@@ -21,6 +21,7 @@
 #include <utility>
 #include <vector>
 
+#include "common/error.hpp"
 #include "common/ring.hpp"
 #include "frep/frep.hpp"
 #include "fpu/fp_rf.hpp"
@@ -28,6 +29,7 @@
 #include "mem/address_space.hpp"
 #include "mem/tcdm.hpp"
 #include "sim/counters.hpp"
+#include "sim/decode.hpp"
 #include "sim/params.hpp"
 #include "sim/trace.hpp"
 #include "ssr/ssr.hpp"
@@ -44,10 +46,10 @@ enum class OffloadKind : std::uint8_t {
 };
 
 struct OffloadEntry {
-  isa::Instr instr;
-  // Cached instr.meta(): issue attempts repeat on stall cycles, so the
-  // metadata lookup is resolved once at offload time (decode-once).
-  const isa::InstrInfo* meta = nullptr;
+  // The instruction's decoded micro-op: its fields and FP issue descriptor
+  // were resolved once per program, so stall cycles that retry the issue
+  // re-derive nothing.
+  const MicroOp* op = nullptr;
   OffloadKind kind = OffloadKind::kCompute;
   std::uint32_t operand = 0;  // ld/st address, int source value, scfg value, frep reps
   std::uint64_t epoch = 0;
@@ -69,7 +71,13 @@ class FpSubsystem {
   // ---- integer-core-facing interface ----
   [[nodiscard]] bool fifo_full() const noexcept { return fifo_.size() >= params_.offload_fifo_depth; }
   void offload(OffloadEntry entry);
-  [[nodiscard]] std::optional<IntWriteback> take_int_writeback();
+  [[nodiscard]] bool has_int_writeback() const noexcept { return !int_wb_queue_.empty(); }
+  /// Pop the oldest integer writeback; only valid if has_int_writeback().
+  [[nodiscard]] IntWriteback take_int_writeback() {
+    const IntWriteback wb = int_wb_queue_.front();
+    int_wb_queue_.pop_front();
+    return wb;
+  }
   /// All offloaded work retired (FIFO drained, sequencer idle, nothing in flight).
   [[nodiscard]] bool idle() const noexcept;
   /// copift.barrier condition: nothing with epoch < `epoch` still in flight.
@@ -102,18 +110,22 @@ class FpSubsystem {
   // Attribute a non-issuing cycle: bumps the cause's ActivityCounters slot
   // and, when tracing, records the StallEvent (counters and trace stay in
   // lockstep). FREP replay slots are attributed to the FPSS track too.
-  void account(std::uint64_t now, StallCause cause);
+  void account(std::uint64_t now, StallCause cause) {
+    if (cause_info(cause).unit != TraceUnit::kFpss) {
+      throw SimError("integer-core stall cause attributed to the FPSS");
+    }
+    ++counters_->slot(cause);
+    tracer_->record_stall(now, TraceUnit::kFpss, cause);
+  }
   void add_outstanding(std::uint64_t epoch, std::uint64_t n = 1);
   void complete_epoch(std::uint64_t epoch);
-  void schedule_completion(std::uint64_t cycle, Completion c);
+  void schedule_completion(std::uint64_t now, unsigned latency, Completion c);
 
-  /// Attempt to issue `entry` (from FIFO or replay). Returns true on issue.
-  bool try_issue_compute(std::uint64_t now, const OffloadEntry& entry, bool from_replay);
+  /// Attempt to issue `op` with its captured integer operand (from the FIFO
+  /// head or an FREP replay). Returns true on issue.
+  bool try_issue_compute(std::uint64_t now, const MicroOp& op, std::uint32_t operand,
+                         std::uint64_t epoch, bool from_replay);
   void process_cfg(std::uint64_t now, const OffloadEntry& entry);
-
-  [[nodiscard]] bool ssr_read_reg(unsigned reg) const;
-  [[nodiscard]] bool ssr_write_reg(unsigned reg) const;
-  void count_fpu_op(isa::FpuClass cls);
 
   const SimParams params_;
   mem::AddressSpace* memory_;
@@ -126,24 +138,28 @@ class FpSubsystem {
   fpu::FpRegFile rf_;
   std::array<std::uint64_t, 32> fp_ready_{};  // cycle the register becomes usable
 
+  // The issue descriptor's per-class facts, indexed by isa::FpuClass and
+  // resolved against SimParams once: the FPU latency and the counter an
+  // issue bumps (none for FpuClass::kNone).
+  static constexpr unsigned kNumFpuClasses = static_cast<unsigned>(isa::FpuClass::kClass) + 1;
+  std::array<unsigned, kNumFpuClasses> latency_{};
+  std::array<std::uint64_t*, kNumFpuClasses> op_counter_{};
+
   // Timing state. All containers here sit on the per-cycle hot path, so they
-  // are allocation-free in steady state: the writeback port is a
-  // cycle-stamped ring (slot `c & mask` holds `c` iff cycle c is booked; the
-  // ring spans more than the largest latency, so live bookings cannot
-  // alias), completions are a binary min-heap over (cycle, seq) in a
-  // persistent vector (seq preserves schedule order for equal cycles, which
-  // fixes the int-writeback drain order), and the epoch ledger is a small
+  // are allocation-free in steady state. The writeback port is a
+  // cycle-stamped ring: slot `c & mask` holds `c` iff cycle c is booked; the
+  // ring spans more than the largest latency, so live bookings cannot alias.
+  // Completions sit on a wheel with the same span: slot `c & mask` lists
+  // those due at cycle c in schedule order, which fixes the int-writeback
+  // drain order. A latency-0 completion is due in the cycle that scheduled
+  // it, after that cycle's slot drained, so it waits in same_cycle_ and
+  // retires first in the next cycle. The epoch ledger is a small
   // epoch-sorted vector (a handful of epochs are ever outstanding at once).
   std::uint64_t fpu_busy_until_ = 0;  // div/sqrt block the whole unit
   std::vector<std::uint64_t> wb_ring_;
   std::uint64_t wb_mask_ = 0;
-  struct ScheduledCompletion {
-    std::uint64_t cycle = 0;
-    std::uint64_t seq = 0;
-    Completion c;
-  };
-  std::vector<ScheduledCompletion> completions_;
-  std::uint64_t completion_seq_ = 0;
+  std::vector<std::vector<Completion>> wheel_;
+  std::vector<Completion> same_cycle_;
   std::vector<std::pair<std::uint64_t, std::uint64_t>> outstanding_by_epoch_;
   std::uint64_t total_outstanding_ = 0;
   RingFifo<IntWriteback> int_wb_queue_;

@@ -198,6 +198,18 @@ void SsrUnit::write_cfg(unsigned imm, std::uint32_t value) {
   const unsigned lane = imm / 32;
   if (lane >= lanes_.size()) throw SimError("SSR lane out of range in scfgwi");
   lanes_[lane].write_cfg(imm % 32, value);
+  refresh_masks();
+}
+
+void SsrUnit::refresh_masks() noexcept {
+  read_mask_ = 0;
+  write_mask_ = 0;
+  for (unsigned i = 0; i < lanes_.size(); ++i) {
+    armed_ = armed_ || lanes_[i].armed();
+    if (!enabled_) continue;
+    if (lanes_[i].is_read_stream()) read_mask_ |= 1U << i;
+    if (lanes_[i].is_write_stream()) write_mask_ |= 1U << i;
+  }
 }
 
 std::uint32_t SsrUnit::read_cfg(unsigned imm) const {
@@ -213,23 +225,25 @@ bool SsrUnit::all_idle() const noexcept {
   return true;
 }
 
-void SsrUnit::collect_requests(std::vector<mem::TcdmRequest>& requests,
-                               std::vector<RequestTag>& tags) const {
+unsigned SsrUnit::collect_armed(unsigned hart, mem::TcdmRequest* requests,
+                                RequestTag* tags) const {
+  unsigned n = 0;
   bool index_port_used = false;
   for (unsigned i = 0; i < lanes_.size(); ++i) {
     std::uint32_t addr = 0;
     // The ISSR index port is shared: one index fetch per cycle.
     if (!index_port_used && lanes_[i].wants_index_access(addr)) {
-      requests.push_back({mem::TcdmPort::kIssrIndex, addr});
-      tags.push_back({i, /*index=*/true});
+      requests[n] = {mem::TcdmPort::kIssrIndex, addr, hart};
+      tags[n++] = {i, /*index=*/true};
       index_port_used = true;
     }
     if (lanes_[i].wants_data_access(addr)) {
       const auto port = static_cast<mem::TcdmPort>(static_cast<unsigned>(mem::TcdmPort::kSsr0) + i);
-      requests.push_back({port, addr});
-      tags.push_back({i, /*index=*/false});
+      requests[n] = {port, addr, hart};
+      tags[n++] = {i, /*index=*/false};
     }
   }
+  return n;
 }
 
 void SsrUnit::apply_grant(const RequestTag& tag) {
@@ -238,10 +252,6 @@ void SsrUnit::apply_grant(const RequestTag& tag) {
   } else {
     lanes_[tag.lane].data_granted(*memory_);
   }
-}
-
-void SsrUnit::commit_cycle() {
-  for (auto& lane : lanes_) lane.commit_cycle();
 }
 
 }  // namespace copift::ssr

@@ -84,6 +84,7 @@ class SsrLane {
   [[nodiscard]] std::uint32_t read_cfg(unsigned reg) const;
 
   // --- processor-side interface ---
+  [[nodiscard]] bool armed() const noexcept { return active_; }
   [[nodiscard]] bool is_read_stream() const noexcept { return active_ && !write_; }
   [[nodiscard]] bool is_write_stream() const noexcept { return active_ && write_; }
   [[nodiscard]] bool can_pop() const noexcept { return ready_ > 0; }
@@ -166,29 +167,55 @@ class SsrUnit {
   void write_cfg(unsigned imm, std::uint32_t value);
   [[nodiscard]] std::uint32_t read_cfg(unsigned imm) const;
 
+  /// Lane access. Configure lanes through write_cfg(), not through a lane:
+  /// the unit keeps its stream-register masks current there.
   [[nodiscard]] SsrLane& lane(unsigned i) { return lanes_[i]; }
   [[nodiscard]] const SsrLane& lane(unsigned i) const { return lanes_[i]; }
 
   [[nodiscard]] bool enabled() const noexcept { return enabled_; }
-  void set_enabled(bool on) noexcept { enabled_ = on; }
+  void set_enabled(bool on) noexcept {
+    enabled_ = on;
+    refresh_masks();
+  }
+
+  /// Bit i set iff FP register i currently reads (writes) stream lane i:
+  /// SSRs are enabled and lane i is armed as a read (write) stream.
+  [[nodiscard]] std::uint32_t read_mask() const noexcept { return read_mask_; }
+  [[nodiscard]] std::uint32_t write_mask() const noexcept { return write_mask_; }
+  /// Some lane has been armed. Until then no lane requests memory, holds
+  /// data or drains tokens, so the per-cycle calls below return at once.
+  [[nodiscard]] bool armed() const noexcept { return armed_; }
 
   [[nodiscard]] bool all_idle() const noexcept;
 
-  /// Gather this cycle's TCDM requests (appends to `requests`, recording
-  /// which lane/kind each request belongs to in `tags`).
+  /// Gather this cycle's TCDM requests into `requests` (stamped with `hart`)
+  /// and the lane/kind each belongs to into the same index of `tags`; both
+  /// must have room for kMaxRequests. Returns the number written.
   struct RequestTag {
     unsigned lane;
     bool index;  // ISSR index fetch rather than data access
   };
-  void collect_requests(std::vector<mem::TcdmRequest>& requests,
-                        std::vector<RequestTag>& tags) const;
+  static constexpr unsigned kMaxRequests = isa::kNumSsrLanes + 1;
+  unsigned collect_requests(unsigned hart, mem::TcdmRequest* requests, RequestTag* tags) const {
+    return armed_ ? collect_armed(hart, requests, tags) : 0;
+  }
   void apply_grant(const RequestTag& tag);
-  void commit_cycle();
+  void commit_cycle() {
+    if (armed_) {
+      for (auto& lane : lanes_) lane.commit_cycle();
+    }
+  }
 
  private:
+  unsigned collect_armed(unsigned hart, mem::TcdmRequest* requests, RequestTag* tags) const;
+  void refresh_masks() noexcept;
+
   mem::AddressSpace* memory_;
   std::array<SsrLane, isa::kNumSsrLanes> lanes_{};
   bool enabled_ = false;
+  bool armed_ = false;
+  std::uint32_t read_mask_ = 0;
+  std::uint32_t write_mask_ = 0;
 };
 
 }  // namespace copift::ssr

@@ -121,6 +121,43 @@ TEST(RspCodec, ReaderFlagsBadChecksumAndSkipsGarbage) {
   EXPECT_EQ(good->payload, "OK");
 }
 
+// A '$' before the '#' starts a new frame (frames escape '$'): the partial
+// frame is dropped and the next one is still delivered.
+TEST(RspCodec, ReaderResyncsOnDollarInsideFrame) {
+  rsp::PacketReader reader;
+  reader.feed("$abc" + rsp::frame("qSupported"));
+  const auto event = reader.next();
+  ASSERT_TRUE(event.has_value());
+  EXPECT_EQ(event->kind, rsp::PacketReader::Event::Kind::kPacket);
+  EXPECT_EQ(event->payload, "qSupported");
+  EXPECT_FALSE(reader.next().has_value());
+}
+
+// A frame that never terminates cannot grow the buffer without bound: past
+// PacketSize it is dropped with one bad-checksum event, and a valid frame
+// after it is delivered.
+TEST(RspCodec, ReaderBoundsAnUnterminatedFrame) {
+  rsp::PacketReader reader;
+  reader.feed("$");
+  const std::string chunk(4096, 'a');
+  std::size_t most = 0;
+  for (int i = 0; i < 256; ++i) {  // 1 MiB
+    reader.feed(chunk);
+    most = std::max(most, reader.buffered());
+  }
+  EXPECT_LE(most, rsp::kPacketSize);
+  reader.feed(rsp::frame("OK"));
+  const auto bad = reader.next();
+  ASSERT_TRUE(bad.has_value());
+  EXPECT_EQ(bad->kind, rsp::PacketReader::Event::Kind::kBadChecksum);
+  const auto good = reader.next();
+  ASSERT_TRUE(good.has_value());
+  EXPECT_EQ(good->kind, rsp::PacketReader::Event::Kind::kPacket);
+  EXPECT_EQ(good->payload, "OK");
+  EXPECT_FALSE(reader.next().has_value());
+  EXPECT_EQ(reader.buffered(), 0u);
+}
+
 // --- DebugHub ----------------------------------------------------------------
 
 struct HubFixture {

@@ -16,6 +16,7 @@
 #include <memory>
 #include <new>
 #include <set>
+#include <string>
 #include <string_view>
 #include <type_traits>
 
@@ -103,8 +104,8 @@ void expect_steady_state_allocation_free(const workload::GeneratedWorkload& kern
   EXPECT_EQ(cluster.cycles(), total);
 }
 
-// After warmup (ring FIFOs grown, lazy pages touched, completion heap
-// sized), the cycle loop must not touch the heap at all with tracing off:
+// After warmup (ring FIFOs grown, lazy pages touched, completion-wheel
+// slots sized), the cycle loop must not touch the heap at all with tracing off:
 // for the full COPIFT kernel including SSR streams and FREP replays, and for
 // a tiled run whose DMA queue streams every tile through the DRAM model.
 TEST(AllocationFree, SteadyStateDoesNotAllocate) {
@@ -226,6 +227,151 @@ TEST(SimCounters, EveryRegistryPointIsPinned) {
     EXPECT_EQ(hash, pin->hash) << "simulated counters changed: " << row;
   }
   EXPECT_EQ(matched.size(), std::size(kPinnedRuns)) << "pinned rows with no registry point";
+}
+
+// The default-parameter pins above never reach zero-latency completions, a
+// one-deep offload or SSR FIFO, a bank count that is not a power of two or a
+// three-hart cluster. These pins run exp, log, pi_lcg and axpy (n=96) under
+// four non-default parameter sets.
+struct ParamSet {
+  const char* name;
+  void (*apply)(SimParams&);
+};
+
+constexpr ParamSet kParamSets[] = {
+    {"lat0",
+     [](SimParams& p) {
+       p.fpu = {0, 0, 0, 0, 0, 0, 0, 0, 0};
+       p.fp_load_latency = 0;
+     }},
+    {"fifo1",
+     [](SimParams& p) {
+       p.offload_fifo_depth = 1;
+       p.fpu.div_sqrt = 40;
+       p.fpu.add = 7;
+     }},
+    {"ssr1-banks3",
+     [](SimParams& p) {
+       p.ssr_fifo_depth = 1;
+       p.num_tcdm_banks = 3;
+     }},
+    {"fma1-load9-mul0",
+     [](SimParams& p) {
+       p.fpu.fma = 1;
+       p.fp_load_latency = 9;
+       p.mul_latency = 0;
+     }},
+};
+
+// Captured before the FP decode-once rewrite (descriptor issue, completion
+// wheel, fixed-array request gather); it must leave every row unchanged.
+constexpr PinnedRun kNonDefaultPins[] = {
+    {"exp/baseline block=96 cores=1 lat0", 0xb7c87be2fce04afaULL},
+    {"exp/baseline block=96 cores=1 fifo1", 0xe4d61d5aed8100cbULL},
+    {"exp/baseline block=96 cores=1 ssr1-banks3", 0x85b5ae065c5a07aaULL},
+    {"exp/baseline block=96 cores=1 fma1-load9-mul0", 0xbbdd3d31d4fbe19eULL},
+    {"exp/baseline block=96 cores=3 lat0", 0x35c7f18aca1c30e8ULL},
+    {"exp/baseline block=96 cores=3 fifo1", 0x2c9025147d742406ULL},
+    {"exp/baseline block=96 cores=3 ssr1-banks3", 0x83ab6285179b6dd5ULL},
+    {"exp/baseline block=96 cores=3 fma1-load9-mul0", 0x5706539b0dd26aa9ULL},
+    {"exp/copift block=16 cores=1 lat0", 0x36c67ae3bd7a6e85ULL},
+    {"exp/copift block=16 cores=1 fifo1", 0x17a0285d6a293bc9ULL},
+    {"exp/copift block=16 cores=1 ssr1-banks3", 0x838f83ebf1d88054ULL},
+    {"exp/copift block=16 cores=1 fma1-load9-mul0", 0x8fa7b22c305298bcULL},
+    {"exp/copift block=8 cores=3 lat0", 0x450e79a71b5de775ULL},
+    {"exp/copift block=8 cores=3 fifo1", 0x8bfb2f98963b5914ULL},
+    {"exp/copift block=8 cores=3 ssr1-banks3", 0x9e63240a7a8fa0d9ULL},
+    {"exp/copift block=8 cores=3 fma1-load9-mul0", 0x8df41f5b5a6a973cULL},
+    {"log/baseline block=96 cores=1 lat0", 0x732ceefdb7323901ULL},
+    {"log/baseline block=96 cores=1 fifo1", 0xfcaa39ae26f49ee1ULL},
+    {"log/baseline block=96 cores=1 ssr1-banks3", 0x732ceefdb7323901ULL},
+    {"log/baseline block=96 cores=1 fma1-load9-mul0", 0xbba1daedc669dd74ULL},
+    {"log/baseline block=96 cores=3 lat0", 0xa52dc0ab4b9787a1ULL},
+    {"log/baseline block=96 cores=3 fifo1", 0xfe78741729bf9c19ULL},
+    {"log/baseline block=96 cores=3 ssr1-banks3", 0x511fd050ee66561fULL},
+    {"log/baseline block=96 cores=3 fma1-load9-mul0", 0xca61d2511f6951d3ULL},
+    {"log/copift block=16 cores=1 lat0", 0x97ded6939fbaaac4ULL},
+    {"log/copift block=16 cores=1 fifo1", 0x8e3e84601063c292ULL},
+    {"log/copift block=16 cores=1 ssr1-banks3", 0x2f3e1a95038ba5a9ULL},
+    {"log/copift block=16 cores=1 fma1-load9-mul0", 0xe535600d20ca71cbULL},
+    {"log/copift block=16 cores=3 lat0", 0xfc3fe488bfb55fc4ULL},
+    {"log/copift block=16 cores=3 fifo1", 0x264ed0e3f3b0434cULL},
+    {"log/copift block=16 cores=3 ssr1-banks3", 0x116e05b15e77c202ULL},
+    {"log/copift block=16 cores=3 fma1-load9-mul0", 0x5da7c828c3b94d1dULL},
+    {"pi_lcg/baseline block=96 cores=1 lat0", 0x5e953f29eb2657a3ULL},
+    {"pi_lcg/baseline block=96 cores=1 fifo1", 0x5e953f29eb2657a3ULL},
+    {"pi_lcg/baseline block=96 cores=1 ssr1-banks3", 0x5e953f29eb2657a3ULL},
+    {"pi_lcg/baseline block=96 cores=1 fma1-load9-mul0", 0xe410259d7e075ab8ULL},
+    {"pi_lcg/baseline block=96 cores=3 lat0", 0x125193831bbed8b3ULL},
+    {"pi_lcg/baseline block=96 cores=3 fifo1", 0x48ef060ae2c5c3c3ULL},
+    {"pi_lcg/baseline block=96 cores=3 ssr1-banks3", 0x125193831bbed8b3ULL},
+    {"pi_lcg/baseline block=96 cores=3 fma1-load9-mul0", 0x66c2ea2fb3d7aab4ULL},
+    {"pi_lcg/copift block=16 cores=1 lat0", 0x855be62acd4575ecULL},
+    {"pi_lcg/copift block=16 cores=1 fifo1", 0x3199dce0b412df3fULL},
+    {"pi_lcg/copift block=16 cores=1 ssr1-banks3", 0x6b0593dd67d6d407ULL},
+    {"pi_lcg/copift block=16 cores=1 fma1-load9-mul0", 0x0bde08f975fe4a68ULL},
+    {"pi_lcg/copift block=16 cores=3 lat0", 0x2ac22e132b20ac7dULL},
+    {"pi_lcg/copift block=16 cores=3 fifo1", 0x0375ee99852a0b7dULL},
+    {"pi_lcg/copift block=16 cores=3 ssr1-banks3", 0x1ce2492e5d7c84ccULL},
+    {"pi_lcg/copift block=16 cores=3 fma1-load9-mul0", 0x78de56225ff0c151ULL},
+    {"axpy/baseline block=32 cores=1 lat0", 0x4ae7a5f03dd482f2ULL},
+    {"axpy/baseline block=32 cores=1 fifo1", 0x4ae7a5f03dd482f2ULL},
+    {"axpy/baseline block=32 cores=1 ssr1-banks3", 0x4ae7a5f03dd482f2ULL},
+    {"axpy/baseline block=32 cores=1 fma1-load9-mul0", 0x8f33318538e66298ULL},
+    {"axpy/baseline block=32 cores=3 lat0", 0xbe6f6bf2d38ce806ULL},
+    {"axpy/baseline block=32 cores=3 fifo1", 0x370dcdb5edd742f9ULL},
+    {"axpy/baseline block=32 cores=3 ssr1-banks3", 0x4e79a622ec8e3dbaULL},
+    {"axpy/baseline block=32 cores=3 fma1-load9-mul0", 0x5b2142de52e7b633ULL},
+    {"axpy/copift block=32 cores=1 lat0", 0x8ee8483df226f5edULL},
+    {"axpy/copift block=32 cores=1 fifo1", 0x71afd3f8b535df0dULL},
+    {"axpy/copift block=32 cores=1 ssr1-banks3", 0x3afd3e90bd4d8308ULL},
+    {"axpy/copift block=32 cores=1 fma1-load9-mul0", 0x8ee8483df226f5edULL},
+    {"axpy/copift block=32 cores=3 lat0", 0xbec56413b4c52290ULL},
+    {"axpy/copift block=32 cores=3 fifo1", 0x6d43004e48e24430ULL},
+    {"axpy/copift block=32 cores=3 ssr1-banks3", 0x87dc505e3422dbafULL},
+    {"axpy/copift block=32 cores=3 fma1-load9-mul0", 0xed5276cbd6a14c92ULL},
+};
+
+TEST(SimCounters, NonDefaultParamsArePinned) {
+  const auto& registry = workload::WorkloadRegistry::instance();
+  std::set<std::string_view> matched;
+  for (const std::string_view name : {"exp", "log", "pi_lcg", "axpy"}) {
+    const auto wl = registry.at(std::string(name));
+    for (const auto variant : {Variant::kBaseline, Variant::kCopift}) {
+      for (const std::uint32_t cores : {1U, 3U}) {
+        WorkloadConfig config;
+        config.n = 96;
+        config.seed = 7;
+        config.cores = cores;
+        ASSERT_TRUE(testing::first_valid_block(*wl, variant, config,
+                                               {wl->default_config().block, 16, 8, 4}));
+        const auto generated = wl->instantiate(variant, config);
+        for (const ParamSet& set : kParamSets) {
+          SimParams params;
+          params.num_cores = cores;
+          set.apply(params);
+          Cluster cluster(rvasm::assemble(generated.source), params);
+          kernels::populate_inputs(cluster, generated);
+          const std::uint64_t hash = run_hash(cluster, cluster.run().cycles);
+          const std::string label = wl->name() + "/" + workload::variant_name(variant) +
+                                    " block=" + std::to_string(config.block) +
+                                    " cores=" + std::to_string(cores) + " " + set.name;
+          char row[160];
+          std::snprintf(row, sizeof(row), "{\"%s\", 0x%016" PRIx64 "ULL},", label.c_str(), hash);
+          const auto* pin =
+              std::find_if(std::begin(kNonDefaultPins), std::end(kNonDefaultPins),
+                           [&](const PinnedRun& p) { return p.point == label; });
+          if (pin == std::end(kNonDefaultPins)) {
+            ADD_FAILURE() << "point without a pinned row: " << row;
+            continue;
+          }
+          matched.insert(pin->point);
+          EXPECT_EQ(hash, pin->hash) << "simulated counters changed: " << row;
+        }
+      }
+    }
+  }
+  EXPECT_EQ(matched.size(), std::size(kNonDefaultPins)) << "pinned rows with no point";
 }
 
 }  // namespace

@@ -2,16 +2,21 @@
 
 #include <gtest/gtest.h>
 
+#include <map>
+
 #include "common/error.hpp"
+#include "sim/decode.hpp"
 
 namespace copift::frep {
 namespace {
 
-FrepEntry fp_entry(isa::Mnemonic m, std::uint64_t epoch = 0) {
-  FrepEntry e;
-  e.instr.mnemonic = m;
-  e.epoch = epoch;
-  return e;
+/// An entry for `m`; its micro-op lives in a per-mnemonic table that
+/// outlives every sequencer here.
+FrepEntry fp_entry(isa::Mnemonic m, std::uint64_t epoch = 0, std::uint32_t operand = 0) {
+  static std::map<isa::Mnemonic, sim::MicroOp> ops;
+  sim::MicroOp& op = ops[m];
+  op.mnemonic = m;
+  return FrepEntry{&op, operand, epoch};
 }
 
 TEST(Frep, OuterLoopReplaysBody) {
@@ -19,18 +24,19 @@ TEST(Frep, OuterLoopReplaysBody) {
   seq.configure(/*body=*/2, /*extra_reps=*/2, FrepSequencer::Mode::kOuter);
   EXPECT_TRUE(seq.recording());
   EXPECT_EQ(seq.pending_replays(), 4u);
-  seq.record(fp_entry(isa::Mnemonic::kFaddD, 7));
+  seq.record(fp_entry(isa::Mnemonic::kFaddD, 7, /*operand=*/5));
   EXPECT_TRUE(seq.recording());
   seq.record(fp_entry(isa::Mnemonic::kFmulD, 7));
   EXPECT_FALSE(seq.recording());
   ASSERT_TRUE(seq.replaying());
   // Two more body iterations: add, mul, add, mul.
-  EXPECT_EQ(seq.current().instr.mnemonic, isa::Mnemonic::kFaddD);
+  EXPECT_EQ(seq.current().op->mnemonic, isa::Mnemonic::kFaddD);
   EXPECT_EQ(seq.current().epoch, 7u);
+  EXPECT_EQ(seq.current().operand, 5u);
   seq.advance();
-  EXPECT_EQ(seq.current().instr.mnemonic, isa::Mnemonic::kFmulD);
+  EXPECT_EQ(seq.current().op->mnemonic, isa::Mnemonic::kFmulD);
   seq.advance();
-  EXPECT_EQ(seq.current().instr.mnemonic, isa::Mnemonic::kFaddD);
+  EXPECT_EQ(seq.current().op->mnemonic, isa::Mnemonic::kFaddD);
   seq.advance();
   EXPECT_EQ(seq.pending_replays(), 1u);
   seq.advance();
@@ -50,12 +56,12 @@ TEST(Frep, InnerModeRepeatsEachInstruction) {
   seq.configure(2, 1, FrepSequencer::Mode::kInner);
   seq.record(fp_entry(isa::Mnemonic::kFaddD));
   ASSERT_TRUE(seq.replaying());
-  EXPECT_EQ(seq.current().instr.mnemonic, isa::Mnemonic::kFaddD);
+  EXPECT_EQ(seq.current().op->mnemonic, isa::Mnemonic::kFaddD);
   seq.advance();
   EXPECT_TRUE(seq.recording());
   seq.record(fp_entry(isa::Mnemonic::kFmulD));
   ASSERT_TRUE(seq.replaying());
-  EXPECT_EQ(seq.current().instr.mnemonic, isa::Mnemonic::kFmulD);
+  EXPECT_EQ(seq.current().op->mnemonic, isa::Mnemonic::kFmulD);
   seq.advance();
   EXPECT_TRUE(seq.idle());
 }

@@ -13,6 +13,7 @@
 #include <sstream>
 #include <string>
 
+#include "common/bits.hpp"
 #include "common/json.hpp"
 #include "engine/experiment.hpp"
 #include "kernels/runner.hpp"
@@ -77,7 +78,12 @@ TEST(JsonWriter, NumbersMatchPrintfAndRoundTrip) {
     std::string got;
     Json::append_number(got, v);
     EXPECT_EQ(got, want);
-    if (std::isfinite(v)) EXPECT_EQ(Json::parse(got).as_number(), v) << got;
+    if (std::isfinite(v)) {
+      // Bitwise, so the sign of -0.0 must survive too.
+      EXPECT_EQ(copift::bit_cast<std::uint64_t>(Json::parse(got).as_number()),
+                copift::bit_cast<std::uint64_t>(v))
+          << got;
+    }
   }
   // Json::dump degrades non-finite numbers to null.
   EXPECT_EQ(Json::number(std::numeric_limits<double>::infinity()).dump(), "null");

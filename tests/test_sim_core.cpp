@@ -275,6 +275,30 @@ start:
   }
 }
 
+// A wild jump is a simulator fault like any other: the fetch of a target
+// outside the text section, or of one with bit 1 set (jalr clears only bit
+// 0), names the fault and then where every hart was.
+TEST(SimCore, WildJumpNamesCycleHartAndPc) {
+  const auto expect_fault = [](const std::string& source, const std::string& what,
+                               std::uint32_t target, const std::string& label) {
+    Cluster cluster(rvasm::assemble(source));
+    try {
+      cluster.run();
+      FAIL() << "expected a SimError";
+    } catch (const SimError& e) {
+      const std::string msg = e.what();
+      char where[64];
+      std::snprintf(where, sizeof(where), "; hart 0 pc 0x%08x%s)", target, label.c_str());
+      EXPECT_EQ(msg, "sim error: " + what + " (cycle " + std::to_string(cluster.cycles()) + where);
+    }
+  };
+  expect_fault("  li t0, 0x40\n  jalr zero, t0, 0\n  ecall\n",
+               "address outside text section: 64", 0x40, "");
+  const std::string misaligned = "start:\n  la t0, start\n  jalr zero, t0, 6\n  ecall\n";
+  expect_fault(misaligned, "misaligned text address",
+               rvasm::assemble(misaligned).symbol("start") + 6, " <start+0x6>");
+}
+
 TEST(SimCore, MaxCyclesGuard) {
   SimParams p;
   p.max_cycles = 100;

@@ -131,6 +131,24 @@ iloop:
   EXPECT_EQ(freg(c, 11), 200.0);  // accumulated once per iteration
 }
 
+// Replays reuse the integer operand captured when the body was offloaded:
+// all three iterations of fcvt.d.w convert a0 = 5, so fa1 sums to 15.
+TEST(Fpss, FrepReplayReusesCapturedIntOperand) {
+  auto c = run(R"(
+  li a0, 5
+  fcvt.d.w fa1, zero
+  li t0, 2
+  frep.o t0, 2
+  fcvt.d.w fa2, a0
+  fadd.d fa1, fa1, fa2
+  csrr t0, fpss
+  ecall
+)");
+  EXPECT_EQ(freg(c, 12), 5.0);
+  EXPECT_EQ(freg(c, 11), 15.0);
+  EXPECT_EQ(c.counters().frep_replays, 4u);
+}
+
 TEST(Fpss, RetireRateNeverExceedsTwo) {
   auto c = run(R"(
   fcvt.d.w fa0, zero

@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include <array>
 #include <random>
 
 #include "common/error.hpp"
@@ -243,15 +244,42 @@ TEST(SsrUnit, CollectRequestsTagsLanes) {
   unit.write_cfg(2 * 32 + kRegBound0, 3);
   unit.write_cfg(2 * 32 + kRegStride0, 8);
   unit.write_cfg(2 * 32 + kRegRptr0, kTcdmBase + 256);
-  std::vector<mem::TcdmRequest> reqs;
-  std::vector<SsrUnit::RequestTag> tags;
-  unit.collect_requests(reqs, tags);
-  ASSERT_EQ(reqs.size(), 2u);
+  std::array<mem::TcdmRequest, SsrUnit::kMaxRequests> reqs{};
+  std::array<SsrUnit::RequestTag, SsrUnit::kMaxRequests> tags{};
+  ASSERT_EQ(unit.collect_requests(/*hart=*/5, reqs.data(), tags.data()), 2u);
   EXPECT_EQ(reqs[0].port, mem::TcdmPort::kSsr0);
   EXPECT_EQ(reqs[1].port, mem::TcdmPort::kSsr2);
+  EXPECT_EQ(reqs[0].hart, 5u);
+  EXPECT_EQ(reqs[1].hart, 5u);
   EXPECT_EQ(tags[0].lane, 0u);
   EXPECT_EQ(tags[1].lane, 2u);
   EXPECT_FALSE(unit.all_idle());
+}
+
+// The stream-register masks follow every change of a lane's binding: lane
+// arming through write_cfg and the SSR enable. An unarmed unit requests
+// nothing.
+TEST(SsrUnit, MasksTrackEnableAndArming) {
+  mem::AddressSpace memory;
+  SsrUnit unit(memory);
+  std::array<mem::TcdmRequest, SsrUnit::kMaxRequests> reqs{};
+  std::array<SsrUnit::RequestTag, SsrUnit::kMaxRequests> tags{};
+  EXPECT_FALSE(unit.armed());
+  EXPECT_EQ(unit.collect_requests(0, reqs.data(), tags.data()), 0u);
+  unit.write_cfg(0 * 32 + kRegRptr0, kTcdmBase);
+  unit.write_cfg(2 * 32 + kRegWptr0, kTcdmBase + 256);
+  EXPECT_TRUE(unit.armed());
+  EXPECT_EQ(unit.read_mask(), 0u);  // armed but not enabled
+  EXPECT_EQ(unit.write_mask(), 0u);
+  unit.set_enabled(true);
+  EXPECT_EQ(unit.read_mask(), 0b001u);
+  EXPECT_EQ(unit.write_mask(), 0b100u);
+  unit.write_cfg(1 * 32 + kRegRptr0, kTcdmBase + 512);
+  EXPECT_EQ(unit.read_mask(), 0b011u);
+  unit.set_enabled(false);
+  EXPECT_EQ(unit.read_mask(), 0u);
+  EXPECT_EQ(unit.write_mask(), 0u);
+  EXPECT_TRUE(unit.armed());
 }
 
 }  // namespace
