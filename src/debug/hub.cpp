@@ -136,7 +136,7 @@ Stop DebugHub::exited_stop() const {
 Stop DebugHub::step_cycle() {
   if (const auto s = pop_pending()) return report(*s);
   if (run_complete()) return exited_stop();
-  if (cluster_->cycles() >= cluster_->topology().shared().max_cycles) {
+  if (cluster_->cycles() >= cluster_->params().max_cycles) {
     return {Stop::Reason::kTimeout, focus_hart_, 0, WatchKind::kAccess, 0};
   }
   tick_checked();
@@ -148,7 +148,7 @@ Stop DebugHub::step_cycle() {
 Stop DebugHub::step_instruction(unsigned hart) {
   check_hart(hart);
   if (const auto s = pop_pending()) return report(*s);
-  const std::uint64_t max_cycles = cluster_->topology().shared().max_cycles;
+  const std::uint64_t max_cycles = cluster_->params().max_cycles;
   const std::uint64_t baseline = issue_count(hart);
   while (true) {
     if (run_complete()) return exited_stop();
@@ -166,7 +166,7 @@ Stop DebugHub::step_instruction(unsigned hart) {
 
 Stop DebugHub::resume(const std::function<bool()>& interrupted) {
   if (const auto s = pop_pending()) return report(*s);
-  const std::uint64_t max_cycles = cluster_->topology().shared().max_cycles;
+  const std::uint64_t max_cycles = cluster_->params().max_cycles;
   std::uint64_t ticks = 0;
   while (true) {
     if (run_complete()) return exited_stop();
@@ -188,7 +188,7 @@ Stop DebugHub::free_run() {
   watchpoints_.clear();
   pending_.clear();
   for (Ignore& ig : ignore_) ig.active = false;
-  const std::uint64_t max_cycles = cluster_->topology().shared().max_cycles;
+  const std::uint64_t max_cycles = cluster_->params().max_cycles;
   while (!run_complete()) {
     if (cluster_->cycles() >= max_cycles) {
       return {Stop::Reason::kTimeout, 0, 0, WatchKind::kAccess, 0};

@@ -66,7 +66,7 @@ sim::RunResult GdbStub::serve() {
   }
   if (timed_out_) {
     throw SimError("simulation exceeded max_cycles (" +
-                   std::to_string(hub_.cluster().topology().shared().max_cycles) + ")");
+                   std::to_string(hub_.cluster().params().max_cycles) + ")");
   }
   sim::RunResult result;
   result.halted = hub_.cluster().halted();

@@ -11,11 +11,11 @@
 // copift.barrier for inter-iteration synchronization.
 #include <string>
 
-#include "common/error.hpp"
 #include "kernels/codegen.hpp"
 #include "kernels/glibc_math.hpp"
 #include "kernels/kernel_internal.hpp"
 #include "workload/hart_slice.hpp"
+#include "workload/software_pipeline.hpp"
 #include "workload/tiled_buffer.hpp"
 
 namespace copift::kernels {
@@ -156,7 +156,6 @@ void emit_baseline_loop(AsmBuilder& b) {
 }
 
 std::string generate_baseline(const KernelConfig& cfg) {
-  if (cfg.n % kUnroll != 0) throw Error(cat("exp/baseline: n=", cfg.n, " must be a multiple of 4"));
   const HartSlice slice(cfg);
   workload::TiledBuffer tiled = make_exp_tiled(cfg);
   AsmBuilder b;
@@ -307,49 +306,20 @@ void emit_ssr_shapes(AsmBuilder& b, std::uint32_t block) {
   b.l("scfgwi t6, 69");                 // stride0 = 8
 }
 
-/// The three-phase software pipeline over one run of nb blocks (x at a3, y
-/// at a4, arena slots in s2/s3/s4, steady count nb-2 preloaded in t3):
-/// prologue (2 blocks), steady loop, epilogue (2 blocks). Shared by the
-/// untiled program and each tile of the tiled one.
-void emit_copift_pipeline(AsmBuilder& b, std::uint32_t block) {
-  b.c("prologue j'=0: phase 0 of block 0");
-  emit_frep_a(b, block);
-  emit_rotate(b);
-  b.c("prologue j'=1: phase 0 of block 1, integer phase of block 0");
-  emit_frep_a(b, block);
-  b.l("copift.barrier");
-  emit_int_phase(b, block, 0);
-  emit_rotate(b);
-
-  b.label("steady");
-  b.label("body_begin");
-  emit_frep_a(b, block);
-  b.l("copift.barrier");
-  emit_frep_b(b, block);
-  emit_int_phase(b, block, 1);
-  emit_rotate(b);
-  b.l("addi t3, t3, -1");
-  b.l("bnez t3, steady");
-  b.label("body_end");
-
-  b.c("epilogue j'=NB: integer phase of the last block, phase 2 of NB-2");
-  b.l("copift.barrier");
-  emit_frep_b(b, block);
-  emit_int_phase(b, block, 2);
-  emit_rotate(b);
-  b.c("epilogue j'=NB+1: phase 2 of the last block");
-  emit_frep_b(b, block);
-}
-
 std::string generate_copift(const KernelConfig& cfg) {
   const std::uint32_t block = cfg.block;
-  if (block % kUnroll != 0) throw Error(cat("exp/copift: block=", block, " must be a multiple of 4"));
-  if (cfg.n % block != 0) throw Error(cat("exp/copift: block=", block, " does not divide n=", cfg.n));
   const HartSlice slice(cfg);
   workload::TiledBuffer tiled = make_exp_tiled(cfg);
   // Blocks per pipelined run: one tile's per-hart chunk, or the whole chunk.
   const std::uint32_t nb = (tiled.enabled() ? tiled.chunk() : slice.chunk()) / block;
-  if (nb < kExpMinBlocks) throw Error(cat("exp/copift: n=", cfg.n, " with block=", block, " needs at least ", kExpMinBlocks, " blocks per hart"));
+  // The three-phase pipeline over one run of blocks (x at a3, y at a4, arena
+  // slots in s2/s3/s4), for the untiled program and each tile of the tiled one.
+  const workload::SoftwarePipeline pipe(
+      kExpPhases,
+      {[block](AsmBuilder& b, unsigned) { emit_frep_a(b, block); },
+       [block](AsmBuilder& b, unsigned site) { emit_int_phase(b, block, site); },
+       [block](AsmBuilder& b, unsigned) { emit_frep_b(b, block); }},
+      emit_rotate);
 
   AsmBuilder b;
   emit_exp_data(b, cfg, /*copift=*/true, tiled);
@@ -372,8 +342,8 @@ std::string generate_copift(const KernelConfig& cfg) {
     tiled.compute_base(b, "a3", 0, "t5", "t1", "t2");
     tiled.compute_base(b, "a4", 1, "t5", "t1", "t2");
     b.l("csrsi ssr, 1");
-    b.l(cat("li t3, ", nb - 2));  // steady-state iterations (per hart per tile)
-    emit_copift_pipeline(b, block);
+    pipe.load_steady_count(b, nb);
+    pipe.emit(b);
     b.l("csrr t3, fpss");  // drain (t0 keeps exp_tab; t3 is spent)
     b.l("csrci ssr, 1");   // release ft0-2 before the tile barrier
     tiled.tile_epilogue(b, slice, "tile_loop");
@@ -398,9 +368,9 @@ std::string generate_copift(const KernelConfig& cfg) {
   slice.begin_hart0_only(b, "t5", "dma_done");  // the DMA engine is shared
   emit_dma_stream(b, cfg.n * 8);
   slice.end_hart0_only(b, "dma_done");
-  b.l(cat("li t3, ", nb - 2));  // steady-state iterations (per hart)
+  pipe.load_steady_count(b, nb);
   b.l("csrwi region, 1");
-  emit_copift_pipeline(b, block);
+  pipe.emit(b);
   b.l("csrr t0, fpss");  // drain
   b.l("csrci ssr, 1");
   b.l("csrwi region, 2");

@@ -1,22 +1,22 @@
 // Internal interfaces between the per-kernel generator translation units.
 #pragma once
 
-#include <cstdint>
 #include <string>
 
 #include "kernels/kernels.hpp"
+#include "workload/software_pipeline.hpp"
 
 namespace copift::kernels {
 
-/// Fewest COPIFT blocks per hart (per hart per tile, when tiled) each
-/// kernel's software pipeline runs correctly on. exp fills its three-phase
-/// pipeline with 2 prologue blocks and enters the do-while steady loop with
-/// nb-2 iterations, so it needs 3; log and the Monte Carlo kernels have one
-/// phase less and enter with nb-1, so they need 2. Both the workload
-/// validators and the generators check against these.
-inline constexpr std::uint32_t kExpMinBlocks = 3;
-inline constexpr std::uint32_t kLogMinBlocks = 2;
-inline constexpr std::uint32_t kMcMinBlocks = 2;
+/// The phases of each COPIFT kernel's software pipeline, in precedence
+/// order. The generators emit one phase per entry; the workload validators
+/// take each run's minimum block count from the same list
+/// (workload::SoftwarePipeline::min_blocks). Each generator's file comment
+/// names its phases.
+using workload::PhaseKind;
+inline constexpr PhaseKind kExpPhases[] = {PhaseKind::kFp, PhaseKind::kInt, PhaseKind::kFp};
+inline constexpr PhaseKind kLogPhases[] = {PhaseKind::kInt, PhaseKind::kFp};
+inline constexpr PhaseKind kMcPhases[] = {PhaseKind::kInt, PhaseKind::kFp};
 
 std::string generate_exp(Variant variant, const KernelConfig& config);
 std::string generate_log(Variant variant, const KernelConfig& config);

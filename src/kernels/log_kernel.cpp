@@ -8,11 +8,11 @@
 // conversion into the FP thread with fcvt.d.w.cop (*).
 #include <string>
 
-#include "common/error.hpp"
 #include "kernels/codegen.hpp"
 #include "kernels/glibc_math.hpp"
 #include "kernels/kernel_internal.hpp"
 #include "workload/hart_slice.hpp"
+#include "workload/software_pipeline.hpp"
 
 namespace copift::kernels {
 
@@ -92,7 +92,6 @@ void emit_dma_stream(AsmBuilder& b, std::uint32_t bytes) {
 }
 
 std::string generate_baseline(const KernelConfig& cfg) {
-  if (cfg.n % kUnroll != 0) throw Error(cat("log/baseline: n=", cfg.n, " must be a multiple of 4"));
   const HartSlice slice(cfg);
   const LogConstants cst = log_constants();
   AsmBuilder b;
@@ -245,12 +244,13 @@ void emit_swap_slots(AsmBuilder& b) {
 
 std::string generate_copift(const KernelConfig& cfg) {
   const std::uint32_t block = cfg.block;
-  if (block % kUnroll != 0) throw Error(cat("log/copift: block=", block, " must be a multiple of 4"));
-  if (cfg.n % block != 0) throw Error(cat("log/copift: block=", block, " does not divide n=", cfg.n));
   const HartSlice slice(cfg);
-  const std::uint32_t nb = slice.chunk() / block;  // blocks per hart
-  if (nb < kLogMinBlocks) throw Error(cat("log/copift: n=", cfg.n, " with block=", block, " needs at least ", kLogMinBlocks, " blocks per hart"));
   const LogConstants cst = log_constants();
+  const workload::SoftwarePipeline pipe(
+      kLogPhases,
+      {[&](AsmBuilder& b, unsigned site) { emit_int_phase(b, cfg, site); },
+       [&](AsmBuilder& b, unsigned) { emit_fp_frep(b, cfg); }},
+      emit_swap_slots);
 
   AsmBuilder b;
   emit_log_data(b, cfg, /*copift=*/true);
@@ -272,7 +272,7 @@ std::string generate_copift(const KernelConfig& cfg) {
   slice.offset_by_rows(b, "a1", 2 * 2 * block * 8, {"s10", "s11"}, "a0", "a2");
   slice.offset_by_rows(b, "a1", 2 * 2 * block * 4, {"t5", "t6"}, "a0", "a2");
   b.l(cat("li t4, ", block / 2 - 1));  // FREP reps (2 elements per iteration)
-  b.l(cat("li t3, ", nb - 1));
+  pipe.load_steady_count(b, slice.chunk() / block);
   emit_log_constants(b);
   b.l("csrsi ssr, 1");
   b.c("lane0: 3-D read izA,izB,kA,kB; lane1: ISSR shift 3; lane2: 1-D write");
@@ -299,22 +299,7 @@ std::string generate_copift(const KernelConfig& cfg) {
   slice.end_hart0_only(b, "dma_done");
   b.l("csrwi region, 1");
 
-  b.c("prologue: decompose block 0");
-  emit_int_phase(b, cfg, 0);
-  emit_swap_slots(b);
-
-  b.label("steady");
-  b.label("body_begin");
-  emit_fp_frep(b, cfg);
-  b.l("copift.barrier");
-  emit_int_phase(b, cfg, 1);
-  emit_swap_slots(b);
-  b.l("addi t3, t3, -1");
-  b.l("bnez t3, steady");
-  b.label("body_end");
-
-  b.c("epilogue: FP phase of the last block");
-  emit_fp_frep(b, cfg);
+  pipe.emit(b);
   b.l("csrr t1, fpss");
   b.l("csrci ssr, 1");
   b.l("csrwi region, 2");

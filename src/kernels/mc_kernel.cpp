@@ -20,13 +20,13 @@
 #include <cmath>
 #include <string>
 
-#include "common/error.hpp"
 #include "kernels/codegen.hpp"
 #include "kernels/kernels.hpp"
 #include "kernels/kernel_internal.hpp"
 #include "kernels/montecarlo.hpp"
 #include "kernels/prng.hpp"
 #include "workload/hart_slice.hpp"
+#include "workload/software_pipeline.hpp"
 
 namespace copift::kernels {
 
@@ -191,7 +191,6 @@ const char* poly_p_reg(unsigned u) {
 // ---------------------------------------------------------------------------
 
 std::string lcg_baseline(const KernelConfig& cfg, bool poly) {
-  if (cfg.n % kMcUnroll != 0) throw Error(cat("mc/baseline: n=", cfg.n, " must be a multiple of 8"));
   const HartSlice slice(cfg);
   AsmBuilder b;
   emit_mc_data(b, cfg, poly, /*copift=*/false, /*xoshiro=*/false);
@@ -284,7 +283,6 @@ void emit_xoshiro_seed(AsmBuilder& b, std::uint32_t seed, bool y_gen) {
 }
 
 std::string xoshiro_baseline(const KernelConfig& cfg, bool poly) {
-  if (cfg.n % kMcUnroll != 0) throw Error(cat("mc/baseline: n=", cfg.n, " must be a multiple of 8"));
   const HartSlice slice(cfg);
   AsmBuilder b;
   emit_mc_data(b, cfg, poly, /*copift=*/false, /*xoshiro=*/true);
@@ -442,11 +440,16 @@ void emit_fp_frep(AsmBuilder& b, bool poly) {
 
 std::string mc_copift(const KernelConfig& cfg, bool poly, bool xoshiro) {
   const std::uint32_t block = cfg.block;
-  if (block % kMcUnroll != 0) throw Error(cat("mc/copift: block=", block, " must be a multiple of 8"));
-  if (cfg.n % block != 0) throw Error(cat("mc/copift: block=", block, " does not divide n=", cfg.n));
   const HartSlice slice(cfg);
-  const std::uint32_t nb = slice.chunk() / block;  // blocks per hart
-  if (nb < kMcMinBlocks) throw Error(cat("mc/copift: n=", cfg.n, " with block=", block, " needs at least ", kMcMinBlocks, " blocks per hart"));
+  const workload::SoftwarePipeline pipe(
+      kMcPhases,
+      {[&](AsmBuilder& b, unsigned site) { emit_int_prn_phase(b, cfg, xoshiro, site); },
+       [&](AsmBuilder& b, unsigned) { emit_fp_frep(b, poly); }},
+      [](AsmBuilder& b) {
+        b.l("mv t6, s10");
+        b.l("mv s10, s11");
+        b.l("mv s11, t6");
+      });
 
   AsmBuilder b;
   emit_mc_data(b, cfg, poly, /*copift=*/true, xoshiro);
@@ -484,7 +487,7 @@ std::string mc_copift(const KernelConfig& cfg, bool poly, bool xoshiro) {
     slice.offset_by_rows(b, "t5", 2 * 2 * block * 8, {"s10", "s11"}, "t2", "t6");
   }
   b.l(cat("li t4, ", block / 2 - 1));  // FREP reps (2 samples per iteration)
-  b.l(cat("li t3, ", nb - 1));
+  pipe.load_steady_count(b, slice.chunk() / block);
   b.l("csrsi ssr, 1");
   b.c("lane0: 3-D read xA,xB,yA,yB per sample pair");
   b.l("li t2, 1");
@@ -501,26 +504,7 @@ std::string mc_copift(const KernelConfig& cfg, bool poly, bool xoshiro) {
   b.l("scfgwi t2, 7");    // stride2 = 32
   b.l("csrwi region, 1");
 
-  b.c("prologue: PRNs of block 0");
-  emit_int_prn_phase(b, cfg, xoshiro, 0);
-  b.l("mv t6, s10");
-  b.l("mv s10, s11");
-  b.l("mv s11, t6");
-
-  b.label("steady");
-  b.label("body_begin");
-  emit_fp_frep(b, poly);
-  b.l("copift.barrier");
-  emit_int_prn_phase(b, cfg, xoshiro, 1);
-  b.l("mv t6, s10");
-  b.l("mv s10, s11");
-  b.l("mv s11, t6");
-  b.l("addi t3, t3, -1");
-  b.l("bnez t3, steady");
-  b.label("body_end");
-
-  b.c("epilogue: FP phase of the last block");
-  emit_fp_frep(b, poly);
+  pipe.emit(b);
   b.l("csrr t2, fpss");  // drain
   b.l("csrci ssr, 1");
   b.c("fold in the final pair's hits (rotated accumulation)");

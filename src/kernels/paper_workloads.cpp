@@ -3,6 +3,7 @@
 // bit-exact golden verifier that used to be hardwired into the runner's
 // enum switches.
 #include <memory>
+#include <span>
 #include <string>
 
 #include "common/bits.hpp"
@@ -14,6 +15,7 @@
 #include "kernels/runner.hpp"
 #include "sim/cluster.hpp"
 #include "workload/hart_slice.hpp"
+#include "workload/software_pipeline.hpp"
 #include "workload/tiled_buffer.hpp"
 #include "workload/workload.hpp"
 
@@ -24,52 +26,33 @@ using workload::ConfigError;
 using workload::Variant;
 using workload::WorkloadConfig;
 
-/// Shared validation of the paper kernels' blocked-loop structure: the
-/// baseline needs n to be a multiple of the unroll factor; COPIFT tiles n
-/// into at least `min_blocks` blocks whose size is a multiple of the unroll
-/// factor.
-void validate_blocked(const std::string& name, Variant variant, const WorkloadConfig& cfg,
-                      std::uint32_t unroll, std::uint32_t min_blocks) {
-  const auto fail = [&](const std::string& what) { throw ConfigError(name, variant, what); };
-  if (variant == Variant::kBaseline) {
-    if (cfg.n % unroll != 0) {
-      fail("n=" + std::to_string(cfg.n) + " must be a multiple of the unroll factor " +
-           std::to_string(unroll));
-    }
-    return;
-  }
+/// A COPIFT kernel software-pipelines each run of blocks: the per-hart
+/// chunk, or the per-hart tile chunk when tiled. A run is whole blocks of a
+/// multiple of the unroll factor, at least SoftwarePipeline::min_blocks()
+/// of them.
+void validate_copift(const std::string& name, const WorkloadConfig& cfg, std::uint32_t unroll,
+                     std::span<const workload::PhaseKind> phases) {
+  const auto fail = [&](const std::string& what) {
+    throw ConfigError(name, Variant::kCopift, "block=" + std::to_string(cfg.block) + what);
+  };
   if (cfg.block == 0 || cfg.block % unroll != 0) {
-    fail("block=" + std::to_string(cfg.block) + " must be a positive multiple of the unroll "
-         "factor " + std::to_string(unroll));
+    fail(" must be a positive multiple of the unroll factor " + std::to_string(unroll));
   }
-  if (cfg.n % cfg.block != 0) {
-    fail("block=" + std::to_string(cfg.block) + " does not divide n=" + std::to_string(cfg.n));
+  const std::uint32_t run = (cfg.tile != 0 ? cfg.tile : cfg.n) / cfg.cores;
+  if (run % cfg.block != 0) {
+    fail(cfg.cores > 1 ? " does not divide the per-hart chunk " + std::to_string(run) + " (n=" +
+                             std::to_string(cfg.n) + " / cores=" + std::to_string(cfg.cores) + ")"
+                       : " does not divide n=" + std::to_string(cfg.n));
   }
-  if (cfg.n / cfg.block < min_blocks) {
-    fail("n=" + std::to_string(cfg.n) + " with block=" + std::to_string(cfg.block) +
-         " yields fewer than " + std::to_string(min_blocks) +
-         " blocks (the depth of the software pipeline)");
-  }
-}
-
-/// Multi-hart partitioning checks: each hart's contiguous chunk must obey
-/// the same blocked-loop structure the single-core variant needs.
-void validate_harts(const std::string& name, Variant variant, const WorkloadConfig& cfg,
-                    std::uint32_t unroll, std::uint32_t min_blocks) {
-  if (cfg.cores <= 1) return;
-  workload::HartSlice::validate(name, variant, cfg, unroll, "the unroll factor");
-  if (variant != Variant::kCopift) return;
-  const std::uint32_t chunk = cfg.n / cfg.cores;
-  const auto fail = [&](const std::string& what) { throw ConfigError(name, variant, what); };
-  if (chunk % cfg.block != 0) {
-    fail("block=" + std::to_string(cfg.block) + " does not divide the per-hart chunk " +
-         std::to_string(chunk) + " (n=" + std::to_string(cfg.n) + " / cores=" +
-         std::to_string(cfg.cores) + ")");
-  }
-  if (chunk / cfg.block < min_blocks) {
-    fail("per-hart chunk " + std::to_string(chunk) + " with block=" +
-         std::to_string(cfg.block) + " yields fewer than " + std::to_string(min_blocks) +
-         " blocks per hart (the depth of the software pipeline)");
+  const std::uint32_t min_blocks = workload::SoftwarePipeline::min_blocks(phases);
+  if (run / cfg.block < min_blocks) {
+    const char* what = cfg.tile != 0   ? " splits the per-hart tile chunk "
+                       : cfg.cores > 1 ? " splits the per-hart chunk "
+                                       : " splits n=";
+    fail(what + std::to_string(run) + " into fewer than " + std::to_string(min_blocks) +
+         " blocks per hart (its " + std::to_string(phases.size()) +
+         "-phase software pipeline needs " + std::to_string(min_blocks - 1) +
+         " prologue blocks and one steady block)");
   }
 }
 
@@ -91,21 +74,26 @@ class PaperWorkload : public workload::Workload {
 
   void validate(Variant variant, const WorkloadConfig& config) const override {
     Workload::validate(variant, config);
-    validate_blocked(name(), variant, config, unroll(), min_blocks());
+    if (variant == Variant::kBaseline && config.n % unroll() != 0) {
+      throw ConfigError(name(), variant,
+                        "n=" + std::to_string(config.n) +
+                            " must be a multiple of the unroll factor " + std::to_string(unroll()));
+    }
     if (config.tile != 0) {
       // Tiled runs stream DRAM-resident data; the per-hart-per-tile chunk
       // takes over the structural role of the per-hart chunk.
       validate_tiled(variant, config);
-      return;
+    } else {
+      workload::HartSlice::validate(name(), variant, config, unroll(), "the unroll factor");
     }
-    validate_harts(name(), variant, config, unroll(), min_blocks());
+    if (variant == Variant::kCopift) validate_copift(name(), config, unroll(), phases());
   }
 
  protected:
   /// Elements (exp/log) or samples (MC) per unrolled loop iteration.
   [[nodiscard]] virtual std::uint32_t unroll() const = 0;
-  /// Fewest COPIFT blocks per hart (kernel_internal.hpp's k*MinBlocks).
-  [[nodiscard]] virtual std::uint32_t min_blocks() const = 0;
+  /// The COPIFT software pipeline's phases (kernel_internal.hpp's k*Phases).
+  [[nodiscard]] virtual std::span<const workload::PhaseKind> phases() const = 0;
 
   /// Tiled-structure checks; only reachable for workloads whose
   /// tiled_capable() returns true (Workload::validate rejects the rest).
@@ -145,19 +133,21 @@ class ExpWorkload final : public PaperWorkload {
 
  protected:
   [[nodiscard]] std::uint32_t unroll() const override { return 4; }
-  [[nodiscard]] std::uint32_t min_blocks() const override { return kExpMinBlocks; }
+  [[nodiscard]] std::span<const workload::PhaseKind> phases() const override {
+    return kExpPhases;
+  }
 
   void validate_tiled(Variant variant, const WorkloadConfig& cfg) const override {
     // x + y are 16 bytes per element; exp_tab + exp_const + per-hart rows
     // stay TCDM-resident alongside the double buffers.
     if (variant == Variant::kCopift) {
       const std::uint32_t arena = 3 * 3 * cfg.block * 8 * cfg.cores;
-      workload::TiledBuffer::validate(name(), variant, cfg, cfg.block, "the block size",
-                                      kExpMinBlocks, 16, arena + 4096);
+      workload::TiledBuffer::validate(name(), variant, cfg, cfg.block, "the block size", 16,
+                                      arena + 4096);
     } else {
       const std::uint32_t spill = 2 * 4 * 8 * cfg.cores;
-      workload::TiledBuffer::validate(name(), variant, cfg, 4, "the unroll factor",
-                                      1, 16, spill + 4096);
+      workload::TiledBuffer::validate(name(), variant, cfg, 4, "the unroll factor", 16,
+                                      spill + 4096);
     }
   }
 };
@@ -191,7 +181,9 @@ class LogWorkload final : public PaperWorkload {
 
  protected:
   [[nodiscard]] std::uint32_t unroll() const override { return 4; }
-  [[nodiscard]] std::uint32_t min_blocks() const override { return kLogMinBlocks; }
+  [[nodiscard]] std::span<const workload::PhaseKind> phases() const override {
+    return kLogPhases;
+  }
 };
 
 // --- Monte Carlo family -----------------------------------------------------
@@ -233,7 +225,9 @@ class McWorkload final : public PaperWorkload {
 
  protected:
   [[nodiscard]] std::uint32_t unroll() const override { return kMcUnroll; }
-  [[nodiscard]] std::uint32_t min_blocks() const override { return kMcMinBlocks; }
+  [[nodiscard]] std::span<const workload::PhaseKind> phases() const override {
+    return kMcPhases;
+  }
 
  private:
   [[nodiscard]] std::uint64_t expected_hits(Variant variant,

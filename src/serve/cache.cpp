@@ -3,11 +3,13 @@
 #include <cstdio>
 #include <cstring>
 #include <istream>
+#include <iterator>
 #include <ostream>
 #include <sstream>
 #include <type_traits>
 
 #include "common/error.hpp"
+#include "common/fnv1a.hpp"
 
 namespace copift::serve {
 
@@ -23,14 +25,16 @@ static_assert(std::is_trivially_copyable_v<sim::ActivityCounters> &&
 
 constexpr std::size_t kCounterWords = sizeof(sim::ActivityCounters) / 8;
 constexpr const char* kMagic = "copift-cache";
-constexpr const char* kVersion = "v1";
+// v2 stamps `sum=`, the FNV-1a 64 of every line after the header.
+constexpr const char* kVersion = "v2";
 
-std::string layout_stamp() {
-  char buf[32];
-  std::snprintf(buf, sizeof(buf), "layout=%016llx",
-                static_cast<unsigned long long>(sim::counters_layout_fingerprint()));
+std::string hex16(std::uint64_t value) {
+  char buf[17];
+  std::snprintf(buf, sizeof(buf), "%016llx", static_cast<unsigned long long>(value));
   return buf;
 }
+
+std::string layout_stamp() { return "layout=" + hex16(sim::counters_layout_fingerprint()); }
 
 void put_counters(std::ostream& os, const char* tag, const sim::ActivityCounters& c) {
   std::uint64_t words[kCounterWords];
@@ -236,7 +240,7 @@ void ResultCache::fail(const ResultKey& key, const EntryPtr& entry, const std::s
 
 std::size_t ResultCache::save(std::ostream& os) const {
   std::lock_guard lock(mutex_);
-  os << kMagic << ' ' << kVersion << ' ' << layout_stamp() << ' ' << params_stamp() << '\n';
+  std::ostringstream body;
   std::size_t written = 0;
   // Back-to-front (LRU first): load() re-inserts each entry at the MRU end,
   // so reading in this order reproduces today's recency ranking.
@@ -252,29 +256,33 @@ std::size_t ResultCache::save(std::ostream& os) const {
     // The daemon never produces steady rows, and the format has no place
     // for their marginal metrics.
     if (row.steady) continue;
-    os << "point " << (key.verify ? 1 : 0) << ' ' << key.variant << ' ' << key.n << ' '
-       << key.block << ' ' << key.seed << ' ' << key.cores << ' ' << key.tile << ' '
-       << key.workload << '\n';
+    body << "point " << (key.verify ? 1 : 0) << ' ' << key.variant << ' ' << key.n << ' '
+         << key.block << ' ' << key.seed << ' ' << key.cores << ' ' << key.tile << ' '
+         << key.workload << '\n';
     const kernels::KernelRun& run = row.run;
-    os << "run " << (run.result.halted ? 1 : 0) << ' ' << run.result.cycles << ' '
-       << run.result.exit_code << ' ' << (run.verified ? 1 : 0) << ' '
-       << run.hart_region.size() << '\n';
-    put_counters(os, "total", run.total);
-    put_counters(os, "region", run.region);
-    put_energy(os, "energy", run.region_energy);
-    for (const auto& hc : run.hart_region) put_counters(os, "hc", hc);
-    for (const auto& he : run.hart_energy) put_energy(os, "he", he);
-    os << "end\n";
+    body << "run " << (run.result.halted ? 1 : 0) << ' ' << run.result.cycles << ' '
+         << run.result.exit_code << ' ' << (run.verified ? 1 : 0) << ' '
+         << run.hart_region.size() << '\n';
+    put_counters(body, "total", run.total);
+    put_counters(body, "region", run.region);
+    put_energy(body, "energy", run.region_energy);
+    for (const auto& hc : run.hart_region) put_counters(body, "hc", hc);
+    for (const auto& he : run.hart_energy) put_energy(body, "he", he);
+    body << "end\n";
     ++written;
   }
+  const std::string text = body.str();
+  os << kMagic << ' ' << kVersion << ' ' << layout_stamp() << ' ' << params_stamp() << " sum="
+     << hex16(fnv1a(text)) << '\n' << text;
   return written;
 }
 
-std::size_t ResultCache::load(std::istream& is, const WorkloadResolver& resolver) {
+std::size_t ResultCache::load(std::istream& file, const WorkloadResolver& resolver) {
+  std::string sum;
   {
-    auto header = expect_line(is, kMagic);
+    auto header = expect_line(file, kMagic);
     std::string version, layout, params;
-    header >> version >> layout >> params;
+    header >> version >> layout >> params >> sum;
     if (version != kVersion) {
       throw Error("cache file version mismatch: got '" + version + "', want '" + kVersion + "'");
     }
@@ -287,6 +295,13 @@ std::size_t ResultCache::load(std::istream& is, const WorkloadResolver& resolver
                   "another build)");
     }
   }
+  // Nothing of a damaged or truncated file loads: its entries must match the
+  // header's checksum before any of them is parsed.
+  const std::string body{std::istreambuf_iterator<char>(file), std::istreambuf_iterator<char>()};
+  if (sum != "sum=" + hex16(fnv1a(body))) {
+    throw Error("cache file checksum mismatch (damaged or truncated file)");
+  }
+  std::istringstream is(body);
   std::size_t restored = 0;
   std::string line;
   while (is.peek() != std::char_traits<char>::eof() && std::getline(is, line)) {

@@ -112,14 +112,16 @@ class ResultCache {
 
   /// Persist every completed (ready, non-failed, non-steady) entry to a
   /// text stream whose header stamps the format version, the counters'
-  /// layout and the default SimParams' fingerprint, least-recently-used
-  /// first so load() restores the LRU order. In-flight entries are skipped.
+  /// layout, the default SimParams' fingerprint and the FNV-1a 64 checksum
+  /// of the entries, least-recently-used first so load() restores the LRU
+  /// order. In-flight entries are skipped.
   /// Returns the number of entries written.
   std::size_t save(std::ostream& os) const;
 
   /// Reload entries written by save(). The header's version, layout and
-  /// SimParams stamps must match this build exactly; throws copift::Error
-  /// otherwise (callers typically warn and start empty). Entries whose
+  /// SimParams stamps must match this build exactly, and the entries their
+  /// checksum; throws copift::Error otherwise, before restoring anything
+  /// (callers typically warn and start empty). Entries whose
   /// workload the resolver cannot map are skipped; already-resident keys are
   /// kept (the live entry wins). Each restored entry counts toward
   /// CacheStats::reloaded. Returns the number of entries restored.

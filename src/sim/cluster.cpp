@@ -14,42 +14,34 @@ std::shared_ptr<const rvasm::Program> require(std::shared_ptr<const rvasm::Progr
 }
 }  // namespace
 
-Cluster::Cluster(std::shared_ptr<const rvasm::Program> program, ClusterTopology topology)
+Cluster::Cluster(std::shared_ptr<const rvasm::Program> program, SimParams params)
     : program_(require(std::move(program))),
       decoded_(DecodedProgram::get(program_)),
-      topo_((topology.validate(), std::move(topology))),
-      arbiter_(topo_.shared().num_tcdm_banks, topo_.num_cores()),
-      dma_(memory_, topo_.shared().dma_bytes_per_cycle),
-      barrier_(topo_.num_cores()) {
-  const SimParams& shared = topo_.shared();
-  if (shared.dram_enabled) {
+      params_((params.validate(), params)),
+      arbiter_(params_.num_tcdm_banks, params_.num_cores),
+      dma_(memory_, params_.dma_bytes_per_cycle),
+      barrier_(params_.num_cores) {
+  if (params_.dram_enabled) {
     mem::DramTiming timing;
-    timing.t_row_hit = shared.dram_t_row_hit;
-    timing.t_row_miss = shared.dram_t_row_miss;
-    timing.row_bytes = shared.dram_row_bytes;
-    timing.bytes_per_cycle = shared.dram_bytes_per_cycle;
-    timing.channels = shared.dram_channels;
+    timing.t_row_hit = params_.dram_t_row_hit;
+    timing.t_row_miss = params_.dram_t_row_miss;
+    timing.row_bytes = params_.dram_row_bytes;
+    timing.bytes_per_cycle = params_.dram_bytes_per_cycle;
+    timing.channels = params_.dram_channels;
     dram_ = std::make_unique<mem::DramModel>(timing);
-    dma_.attach_dram(*dram_, shared.dram_burst_bytes);
+    dma_.attach_dram(*dram_, params_.dram_burst_bytes);
   }
-  complexes_.reserve(topo_.num_cores());
-  for (unsigned h = 0; h < topo_.num_cores(); ++h) {
-    complexes_.push_back(std::make_unique<CoreComplex>(h, topo_.num_cores(), topo_.complex(h),
-                                                       *decoded_, memory_, dma_, barrier_));
+  complexes_.reserve(params_.num_cores);
+  for (unsigned h = 0; h < params_.num_cores; ++h) {
+    complexes_.push_back(std::make_unique<CoreComplex>(h, params_.num_cores, params_, *decoded_,
+                                                       memory_, dma_, barrier_));
   }
   memory_.write_block(program_->data_base, program_->data);
   memory_.write_block(program_->dram_base, program_->dram);
 }
 
-Cluster::Cluster(std::shared_ptr<const rvasm::Program> program, SimParams params)
-    : Cluster(std::move(program), ClusterTopology(params)) {}
-
 Cluster::Cluster(rvasm::Program program, SimParams params)
     : Cluster(std::make_shared<const rvasm::Program>(std::move(program)), params) {}
-
-Cluster::Cluster(rvasm::Program program, ClusterTopology topology)
-    : Cluster(std::make_shared<const rvasm::Program>(std::move(program)),
-              std::move(topology)) {}
 
 bool Cluster::halted() const noexcept {
   for (const auto& cx : complexes_) {
@@ -177,7 +169,7 @@ std::string Cluster::fault_location() const {
 }
 
 RunResult Cluster::run() {
-  const std::uint64_t max_cycles = topo_.shared().max_cycles;
+  const std::uint64_t max_cycles = params_.max_cycles;
   try {
     while (!halted() && cycle_ < max_cycles) tick();
     // Drain in-flight FP work so memory state is final at halt.

@@ -1,5 +1,5 @@
-// Snitch cluster SoC: N core complexes (IntCore + FPSS + SSRs + L0 I$) built
-// from a ClusterTopology around one shared memory system (banked TCDM + DMA)
+// Snitch cluster SoC: SimParams::num_cores identical core complexes (IntCore +
+// FPSS + SSRs + L0 I$) around one shared memory system (banked TCDM + DMA)
 // and a hardware barrier.
 //
 // This is the top-level simulation object: load an assembled program,
@@ -9,10 +9,8 @@
 // the Perfetto export and stall report (sim/trace_export.hpp).
 //
 // Every hart starts at the program entry point; programs partition work by
-// reading the `mhartid` CSR and synchronize through the `barrier` CSR. The
-// hart-0 view doubles as the aggregated single-core view: with one complex,
-// counters()/regions()/tracer() are exactly the historical Cluster API and
-// the simulation is bit-identical to the pre-topology model.
+// reading the `mhartid` CSR and synchronize through the `barrier` CSR. With
+// one complex, counters()/regions()/tracer() are hart 0's own.
 #pragma once
 
 #include <array>
@@ -26,11 +24,11 @@
 #include "mem/dram.hpp"
 #include "mem/tcdm.hpp"
 #include "rvasm/program.hpp"
+#include "sim/barrier.hpp"
 #include "sim/core_complex.hpp"
 #include "sim/counters.hpp"
 #include "sim/decode.hpp"
 #include "sim/params.hpp"
-#include "sim/topology.hpp"
 #include "sim/trace.hpp"
 
 namespace copift::sim {
@@ -43,20 +41,16 @@ struct RunResult {
 
 class Cluster {
  public:
-  /// Primary constructor: the program is shared, immutable, and may be run
-  /// by many clusters concurrently (e.g. a parameter sweep assembles each
-  /// kernel once and fans the runs out across engine worker threads). The
-  /// topology is validated; bad configurations throw copift::Error.
-  Cluster(std::shared_ptr<const rvasm::Program> program, ClusterTopology topology);
-
-  /// Homogeneous topology of `params.num_cores` complexes built from
-  /// `params` (the historical constructor; `num_cores` defaults to 1).
+  /// `params.num_cores` identical complexes built from `params`. The
+  /// program is shared, immutable, and may be run by many clusters
+  /// concurrently (e.g. a parameter sweep assembles each kernel once and
+  /// fans the runs out across engine worker threads). `params` is validated
+  /// before any complex is built; bad configurations throw copift::Error.
   explicit Cluster(std::shared_ptr<const rvasm::Program> program, SimParams params = {});
 
   /// Convenience: take ownership of a freshly assembled program (moved into
   /// a shared_ptr, not deep-copied).
   explicit Cluster(rvasm::Program program, SimParams params = {});
-  Cluster(rvasm::Program program, ClusterTopology topology);
 
   /// Run until every hart executes `ecall` (plus the FPSS drain) or
   /// max_cycles elapse. A SimError raised inside the cycle loop is rethrown
@@ -76,11 +70,13 @@ class Cluster {
   [[nodiscard]] bool halted() const noexcept;
   [[nodiscard]] std::uint64_t cycles() const noexcept { return cycle_; }
 
-  // --- topology ------------------------------------------------------------
+  // --- harts ---------------------------------------------------------------
   [[nodiscard]] unsigned num_cores() const noexcept {
     return static_cast<unsigned>(complexes_.size());
   }
-  [[nodiscard]] const ClusterTopology& topology() const noexcept { return topo_; }
+  /// The validated parameters every complex and the shared memory system
+  /// were built from.
+  [[nodiscard]] const SimParams& params() const noexcept { return params_; }
   [[nodiscard]] CoreComplex& complex(unsigned hart) { return *complexes_.at(hart); }
   [[nodiscard]] const CoreComplex& complex(unsigned hart) const {
     return *complexes_.at(hart);
@@ -100,9 +96,6 @@ class Cluster {
   [[nodiscard]] mem::AddressSpace& memory() noexcept { return memory_; }
   [[nodiscard]] const mem::AddressSpace& memory() const noexcept { return memory_; }
   [[nodiscard]] const rvasm::Program& program() const noexcept { return *program_; }
-  [[nodiscard]] const std::shared_ptr<const rvasm::Program>& program_ptr() const noexcept {
-    return program_;
-  }
   [[nodiscard]] IntCore& core() noexcept { return complexes_.front()->core(); }
   [[nodiscard]] const IntCore& core() const noexcept { return complexes_.front()->core(); }
   [[nodiscard]] FpSubsystem& fpss() noexcept { return complexes_.front()->fpss(); }
@@ -129,7 +122,7 @@ class Cluster {
   // Decode-once micro-op table, shared across clusters running the same
   // program (see sim/decode.hpp).
   std::shared_ptr<const DecodedProgram> decoded_;
-  ClusterTopology topo_;
+  SimParams params_;
   mem::AddressSpace memory_;
   mem::TcdmArbiter arbiter_;
   // Heap-allocated so the DmaEngine's pointer into it stays stable; null

@@ -15,11 +15,11 @@
 #include "mem/l0_icache.hpp"
 #include "mem/tcdm.hpp"
 #include "rvasm/program.hpp"
+#include "sim/barrier.hpp"
 #include "sim/counters.hpp"
 #include "sim/decode.hpp"
 #include "sim/fpss.hpp"
 #include "sim/params.hpp"
-#include "sim/topology.hpp"
 #include "sim/trace.hpp"
 
 namespace copift::sim {

@@ -1,4 +1,4 @@
-// One Snitch core complex: the unit a ClusterTopology instantiates N times.
+// One Snitch core complex: the unit a Cluster instantiates once per hart.
 //
 // A complex bundles everything private to a hart — integer core, FP
 // subsystem, SSR lanes, L0 I$, activity counters, region stream and tracer —
@@ -15,12 +15,12 @@
 #include "mem/dma.hpp"
 #include "mem/l0_icache.hpp"
 #include "rvasm/program.hpp"
+#include "sim/barrier.hpp"
 #include "sim/core.hpp"
 #include "sim/counters.hpp"
 #include "sim/decode.hpp"
 #include "sim/fpss.hpp"
 #include "sim/params.hpp"
-#include "sim/topology.hpp"
 #include "sim/trace.hpp"
 #include "ssr/ssr.hpp"
 

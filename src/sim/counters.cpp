@@ -4,6 +4,8 @@
 #include <cstddef>
 #include <string>
 
+#include "common/fnv1a.hpp"
+
 namespace copift::sim {
 
 namespace {
@@ -95,12 +97,7 @@ std::uint64_t counters_layout_fingerprint() {
   for (const auto field : kEventFields) layout += ',' + offset(&(probe.*field));
   layout += ';' + offset(probe.slots.data()) + 'x' + std::to_string(kNumStallCauses);
   for (const CauseInfo& info : kCauseInfo) layout += std::string(",") + info.counter;
-  std::uint64_t hash = 0xcbf29ce484222325ULL;  // FNV-1a 64
-  for (const char c : layout) {
-    hash ^= static_cast<unsigned char>(c);
-    hash *= 0x100000001b3ULL;
-  }
-  return hash;
+  return fnv1a(layout);
 }
 
 }  // namespace copift::sim

@@ -70,7 +70,7 @@ struct SimParams {
   /// Throw copift::Error (naming the offending field and value) on any
   /// configuration the simulator cannot honestly model: zero cores, banks,
   /// FIFO/FREP depths, non-power-of-two L0 geometry, a stalled DMA, or a
-  /// zero cycle budget. Called by the Cluster/topology constructors so bad
+  /// zero cycle budget. Called by the Cluster constructor so bad
   /// configurations fail loudly instead of hanging or dividing by zero.
   void validate() const;
 };

@@ -28,8 +28,7 @@ TiledBuffer::TiledBuffer(const WorkloadConfig& config, std::vector<Array> arrays
 
 void TiledBuffer::validate(std::string_view workload, Variant variant,
                            const WorkloadConfig& config, std::uint32_t granule,
-                           std::string_view granule_what, std::uint32_t min_granules,
-                           std::uint32_t bytes_per_element,
+                           std::string_view granule_what, std::uint32_t bytes_per_element,
                            std::uint32_t reserved_tcdm_bytes) {
   if (config.tile == 0) return;
   const auto fail = [&](const std::string& what) {
@@ -52,11 +51,6 @@ void TiledBuffer::validate(std::string_view workload, Variant variant,
     fail("per-hart tile chunk " + std::to_string(chunk) + " (tile=" + std::to_string(tile) +
          " / cores=" + std::to_string(cores) + ") must be a multiple of " +
          std::string(granule_what) + " " + std::to_string(granule));
-  }
-  if (chunk / (granule == 0 ? 1 : granule) < min_granules) {
-    fail("per-hart tile chunk " + std::to_string(chunk) + " needs at least " +
-         std::to_string(min_granules) + " x " + std::string(granule_what) + " " +
-         std::to_string(granule));
   }
   // Two buffers per array plus the workload's resident data and the per-hart
   // stacks must fit in TCDM.

@@ -66,13 +66,12 @@ class TiledBuffer {
 
   /// Shared validation: throws ConfigError unless `tile` divides `n` into at
   /// least 2 tiles, `cores` divides `tile`, the per-hart per-tile chunk is a
-  /// multiple of `granule` and at least `min_chunks` granules, and the
-  /// double buffers leave `reserved_tcdm_bytes` (tables, arenas, stacks)
-  /// free in TCDM. Arrays are described by their summed element bytes.
+  /// multiple of `granule`, and the double buffers leave
+  /// `reserved_tcdm_bytes` (tables, arenas, stacks) free in TCDM. Arrays are
+  /// described by their summed element bytes.
   static void validate(std::string_view workload, Variant variant,
                        const WorkloadConfig& config, std::uint32_t granule,
-                       std::string_view granule_what, std::uint32_t min_granules,
-                       std::uint32_t bytes_per_element,
+                       std::string_view granule_what, std::uint32_t bytes_per_element,
                        std::uint32_t reserved_tcdm_bytes);
 
   [[nodiscard]] bool enabled() const noexcept { return tile_ != 0; }

@@ -250,7 +250,7 @@ class AxpyWorkload final : public workload::Workload {
     if (config.tile != 0) {
       // Two arrays of doubles; reserve a little TCDM for axpy_const.
       workload::TiledBuffer::validate(name(), variant, config, kUnroll,
-                                      "the unroll factor", 1, 16, 256);
+                                      "the unroll factor", 16, 256);
       return;
     }
     workload::HartSlice::validate(name(), variant, config, kUnroll, "the unroll factor");

@@ -3,6 +3,9 @@
 
 #include <cstddef>
 #include <cstdint>
+#include <string_view>
+
+#include "common/fnv1a.hpp"
 
 namespace copift::testing {
 
@@ -10,11 +13,7 @@ namespace copift::testing {
 class Fnv1a {
  public:
   void bytes(const void* data, std::size_t size) {
-    const auto* p = static_cast<const unsigned char*>(data);
-    for (std::size_t i = 0; i < size; ++i) {
-      hash_ ^= p[i];
-      hash_ *= 0x100000001b3ULL;
-    }
+    hash_ = fnv1a(std::string_view(static_cast<const char*>(data), size), hash_);
   }
   void u32(std::uint32_t v) {
     const unsigned char le[4] = {static_cast<unsigned char>(v), static_cast<unsigned char>(v >> 8),
@@ -29,7 +28,7 @@ class Fnv1a {
   [[nodiscard]] std::uint64_t value() const { return hash_; }
 
  private:
-  std::uint64_t hash_ = 0xcbf29ce484222325ULL;
+  std::uint64_t hash_ = fnv1a({});
 };
 
 }  // namespace copift::testing

@@ -2,18 +2,21 @@
 // round trip of ResultTable::json() with hostile labels), request
 // validation, the memoizing result cache, and an end-to-end in-process
 // server exercised over real sockets.
+#include <algorithm>
 #include <arpa/inet.h>
 #include <chrono>
 #include <cstdio>
 #include <cstring>
 #include <gtest/gtest.h>
 #include <netinet/in.h>
+#include <random>
 #include <sstream>
 #include <string>
 #include <sys/socket.h>
 #include <thread>
 #include <unistd.h>
 #include <utility>
+#include <vector>
 
 #include "engine/engine.hpp"
 #include "engine/experiment.hpp"
@@ -507,10 +510,11 @@ std::pair<std::string, std::string> saved_file() {
 TEST(ServeCachePersist, RejectsVersionAndLayoutMismatch) {
   serve::ResultCache cache(4);
   const std::string header = saved_file().first;
-  ASSERT_EQ(header.rfind("copift-cache v1 layout=", 0), 0u) << header;
-  std::stringstream v2("copift-cache v2 " + header.substr(16) + "\n");
-  EXPECT_THROW((void)cache.load(v2, registry_resolver), Error);
-  std::stringstream layout("copift-cache v1 layout=0123456789abcdef\n");
+  ASSERT_EQ(header.rfind("copift-cache v2 layout=", 0), 0u) << header;
+  // A v1 file (entries without checksums) stamped like this build.
+  std::stringstream v1("copift-cache v1 " + header.substr(16) + "\n");
+  EXPECT_THROW((void)cache.load(v1, registry_resolver), Error);
+  std::stringstream layout("copift-cache v2 layout=0123456789abcdef\n");
   EXPECT_THROW((void)cache.load(layout, registry_resolver), Error);
   std::stringstream garbage("not a cache file\n");
   EXPECT_THROW((void)cache.load(garbage, registry_resolver), Error);
@@ -614,6 +618,145 @@ TEST(ServeCachePersist, LoadPreservesLruOrder) {
   EXPECT_EQ(small.load(file, registry_resolver), 3u);
   serve::ResultCache::EntryPtr probe;
   EXPECT_EQ(small.lookup_or_claim(persist_key(2), probe), serve::ResultCache::Claim::kOwned);
+}
+
+/// Equal bit for bit in every field a cache file persists.
+bool same_run(const kernels::KernelRun& a, const kernels::KernelRun& b) {
+  const auto same = [](const auto& x, const auto& y) {
+    return std::memcmp(&x, &y, sizeof(x)) == 0;
+  };
+  if (a.result.halted != b.result.halted || a.result.cycles != b.result.cycles ||
+      a.result.exit_code != b.result.exit_code || a.verified != b.verified ||
+      !same(a.total, b.total) || !same(a.region, b.region) ||
+      !same(a.region_energy, b.region_energy) || a.hart_region.size() != b.hart_region.size() ||
+      a.hart_energy.size() != b.hart_energy.size()) {
+    return false;
+  }
+  for (std::size_t h = 0; h < a.hart_region.size(); ++h) {
+    if (!same(a.hart_region[h], b.hart_region[h]) || !same(a.hart_energy[h], b.hart_energy[h])) {
+      return false;
+    }
+  }
+  return true;
+}
+
+/// One edit of a saved file's lines: delete, duplicate or swap whole lines,
+/// or replace one character or one space-separated token of a line.
+void mutate_cache_lines(std::vector<std::string>& lines, std::mt19937& rng, std::string& what) {
+  static constexpr char kChars[] = {'0', '1', '7', 'f', 'g', '-', ' ', '\t', 'x'};
+  static constexpr const char* kTokens[] = {"0",    "1",     "-1",  "ffffffffffffffff",
+                                            "1000000000000000000000", "4294967296",
+                                            "exp",  "point", "end", ""};
+  const auto pick = [&](std::size_t n) {
+    return std::uniform_int_distribution<std::size_t>(0, n - 1)(rng);
+  };
+  const std::size_t l = pick(lines.size());
+  std::string& line = lines[l];
+  switch (pick(5)) {
+    case 0:
+      what += " delete line " + std::to_string(l + 1);
+      lines.erase(lines.begin() + static_cast<std::ptrdiff_t>(l));
+      return;
+    case 1:
+      what += " duplicate line " + std::to_string(l + 1);
+      lines.insert(lines.begin() + static_cast<std::ptrdiff_t>(l), line);
+      return;
+    case 2: {
+      const std::size_t m = pick(lines.size());
+      what += " swap lines " + std::to_string(l + 1) + "," + std::to_string(m + 1);
+      std::swap(lines[l], lines[m]);
+      return;
+    }
+    case 3: {
+      if (line.empty()) return;
+      const std::size_t at = pick(line.size());
+      line[at] = kChars[pick(std::size(kChars))];
+      what += " line " + std::to_string(l + 1) + " char " + std::to_string(at);
+      return;
+    }
+    default: {
+      std::vector<std::pair<std::size_t, std::size_t>> tokens;  // (start, length)
+      for (std::size_t pos = 0; pos < line.size();) {
+        const std::size_t start = line.find_first_not_of(' ', pos);
+        if (start == std::string::npos) break;
+        const std::size_t end = std::min(line.find(' ', start), line.size());
+        tokens.emplace_back(start, end - start);
+        pos = end;
+      }
+      if (tokens.empty()) return;
+      const auto [start, length] = tokens[pick(tokens.size())];
+      const std::string token = kTokens[pick(std::size(kTokens))];
+      line.replace(start, length, token);
+      what += " line " + std::to_string(l + 1) + " token -> '" + token + "'";
+      return;
+    }
+  }
+}
+
+// A damaged --cache-file must never load as hits that differ from what was
+// saved: every one- or two-edit mutant of a four-entry file either throws
+// copift::Error or restores some of the saved (key, row) pairs bit for bit.
+TEST(ServeCachePersist, EveryMutantThrowsOrRestoresSavedEntries) {
+  std::vector<std::pair<serve::ResultKey, engine::ResultRow>> saved;
+  serve::ResultCache source(8);
+  for (const auto [seed, cores] : {std::pair{1u, 1u}, {2u, 2u}, {3u, 4u}, {4u, 1u}}) {
+    engine::ResultRow row = persist_row(cores);
+    row.run.result.cycles += seed;
+    row.run.total.fp_retired += seed;
+    serve::ResultCache::EntryPtr entry;
+    ASSERT_EQ(source.lookup_or_claim(persist_key(seed, cores), entry),
+              serve::ResultCache::Claim::kOwned);
+    source.publish(entry, row);
+    saved.emplace_back(persist_key(seed, cores), row);
+  }
+  std::stringstream file;
+  ASSERT_EQ(source.save(file), saved.size());
+  std::vector<std::string> original;
+  for (std::string line; std::getline(file, line);) original.push_back(line);
+
+  std::mt19937 rng(20251);
+  constexpr int kMutants = 2000;
+  int loaded = 0;
+  int rejected = 0;
+  int bad = 0;
+  for (int i = 0; i < kMutants; ++i) {
+    auto lines = original;
+    std::string what;
+    const int edits = 1 + static_cast<int>(rng() % 2);
+    for (int e = 0; e < edits && !lines.empty(); ++e) mutate_cache_lines(lines, rng, what);
+    std::string text;
+    for (const auto& l : lines) text.append(l).push_back('\n');
+    std::istringstream in(text);
+    serve::ResultCache cache(16);
+    std::size_t restored = 0;
+    try {
+      restored = cache.load(in, registry_resolver);
+    } catch (const Error&) {
+      ++rejected;
+      continue;
+    } catch (const std::exception& e) {
+      if (++bad <= 10) ADD_FAILURE() << "mutant" << what << ": escaped as " << e.what();
+      continue;
+    }
+    ++loaded;
+    // Every restored entry is one of the saved keys with its saved row.
+    std::size_t matched = 0;
+    for (const auto& [key, row] : saved) {
+      serve::ResultCache::EntryPtr hit;
+      if (cache.lookup_or_claim(key, hit) != serve::ResultCache::Claim::kHit) continue;
+      if (!same_run(hit->wait().run, row.run)) {
+        if (++bad <= 10) ADD_FAILURE() << "mutant" << what << ": seed " << key.seed << " changed";
+      }
+      ++matched;
+    }
+    if (matched != restored && ++bad <= 10) {
+      ADD_FAILURE() << "mutant" << what << ": restored " << restored << " entries, " << matched
+                    << " of them saved keys";
+    }
+  }
+  EXPECT_EQ(bad, 0);
+  EXPECT_GT(rejected, kMutants / 2);
+  EXPECT_GT(loaded, 0);
 }
 
 // --- end-to-end server -------------------------------------------------------

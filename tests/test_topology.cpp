@@ -1,9 +1,9 @@
-// Multi-hart topology tests: SimParams/ClusterTopology validation, the
+// Multi-hart tests: SimParams validation by the Cluster constructor, the
 // mhartid + hardware-barrier primitives, per-hart counter identity, the
 // bit-exactness of multi-hart workload results against the single-hart
 // reference, per-complex energy attribution, and engine sweeps over the
 // cores axis at different thread counts.
-#include "sim/topology.hpp"
+#include "sim/barrier.hpp"
 
 #include <gtest/gtest.h>
 
@@ -93,20 +93,18 @@ TEST(SimParamsValidate, ClusterConstructorValidates) {
   SimParams bad;
   bad.num_tcdm_banks = 0;
   EXPECT_THROW(Cluster(rvasm::assemble("ecall\n"), bad), Error);
-  ClusterTopology empty;
-  empty.cores(0);
-  EXPECT_THROW(Cluster(rvasm::assemble("ecall\n"), empty), Error);
   SimParams none;
   none.num_cores = 0;
   EXPECT_THROW(Cluster(rvasm::assemble("ecall\n"), none), Error);
 }
 
-TEST(ClusterTopology, AbsurdCoreCountFailsWithoutAllocating) {
-  // cores() must not materialize a billion SimParams before validate() can
-  // reject the request with the descriptive error.
-  ClusterTopology huge = ClusterTopology().cores(1'000'000'000);
+TEST(SimParamsValidate, AbsurdCoreCountFailsWithoutAllocating) {
+  // The constructor must reject the request with the descriptive error
+  // before it builds a billion core complexes.
+  SimParams huge;
+  huge.num_cores = 1'000'000'000;
   try {
-    huge.validate();
+    Cluster cluster(rvasm::assemble("ecall\n"), huge);
     FAIL() << "expected an exception";
   } catch (const Error& e) {
     EXPECT_NE(std::string(e.what()).find("exceeds the cluster maximum"), std::string::npos)
@@ -114,41 +112,6 @@ TEST(ClusterTopology, AbsurdCoreCountFailsWithoutAllocating) {
     EXPECT_NE(std::string(e.what()).find("1000000000"), std::string::npos) << e.what();
   }
 }
-
-TEST(ClusterTopology, BuilderComposesHomogeneousAndHeterogeneous) {
-  ClusterTopology quad = ClusterTopology().cores(4);
-  EXPECT_EQ(quad.num_cores(), 4u);
-  EXPECT_NO_THROW(quad.validate());
-
-  SimParams slow;
-  slow.mul_latency = 9;
-  ClusterTopology hetero = ClusterTopology().add_complex(slow);
-  ASSERT_EQ(hetero.num_cores(), 2u);
-  EXPECT_EQ(hetero.complex(0).mul_latency, SimParams{}.mul_latency);
-  EXPECT_EQ(hetero.complex(1).mul_latency, 9u);
-  EXPECT_NO_THROW(hetero.validate());
-}
-
-TEST(ClusterTopology, SingleCoreTopologyMatchesParamsConstructor) {
-  const auto kernel = workload::generate("exp", Variant::kCopift, WorkloadConfig{});
-  const auto program = kernels::assemble_kernel(kernel);
-
-  Cluster via_params(program);
-  kernels::populate_inputs(via_params, kernel);
-  via_params.run();
-
-  Cluster via_topology(program, ClusterTopology().cores(1));
-  kernels::populate_inputs(via_topology, kernel);
-  via_topology.run();
-
-  EXPECT_EQ(via_params.cycles(), via_topology.cycles());
-  EXPECT_EQ(via_params.counters().int_retired, via_topology.counters().int_retired);
-  EXPECT_EQ(via_params.counters().fp_retired, via_topology.counters().fp_retired);
-  EXPECT_EQ(via_params.counters().int_stall_cycles(),
-            via_topology.counters().int_stall_cycles());
-}
-
-// --- mhartid + hardware barrier ----------------------------------------------
 
 TEST(HwBarrier, HartsIdentifyThemselvesAndSynchronize) {
   const char* kSource = R"(

@@ -641,11 +641,6 @@ int main(int argc, char** argv) {
     }
     if (trace) {
       std::printf("\n--- first 64 trace entries ---\n");
-      unsigned count = 0;
-      for (const auto& e : cluster.tracer().entries()) {
-        if (++count > 64) break;
-        (void)e;
-      }
       std::fputs(cluster.tracer()
                      .render(0, cluster.tracer().entries().size() > 64
                                     ? cluster.tracer().entries()[63].cycle

@@ -21,6 +21,11 @@ same sorted `digest` lines. Each end-to-end metric of BENCHMARK.json takes its
                 more than the base IQR
     within      anything else
 
+Beside each verdict the report prints the median and quartiles of the
+per-pair head/base ratios. The two runs of a pair run back to back, so drift
+in the host's speed over a set moves both of them: the pair ratios can be
+tight where the base IQR, which includes that drift, is wide.
+
 Exits 1 on a failed run, a digest mismatch or a `worse` verdict, else 0.
 """
 
@@ -71,6 +76,12 @@ def quartiles(samples):
     return at(0.25), at(0.5), at(0.75)
 
 
+def pair_ratios(base, head):
+    """Quartiles of the head/base ratio of each pair (pairs with a zero base skipped)."""
+    ratios = [h / b for b, h in zip(base, head) if b]
+    return quartiles(ratios) if ratios else (float("nan"),) * 3
+
+
 def verdict(base, head, better, bound):
     """Verdict on one metric and the number of pairs head won.
 
@@ -119,7 +130,7 @@ def evaluate(workload, base_runs, head_runs, metrics):
     pairs = len(head_runs)
     lines = [f"{workload}: {pairs} pairs, digests identical ({len(reference)} lines)",
              f"  {'metric':<18} {'base median [q1 - q3]':>32} {'head median':>12} "
-             f"{'ratio':>7} {'won':>6} {'bound':>6}  verdict"]
+             f"{'ratio':>7} {'pair ratio [q1 - q3]':>26} {'won':>6} {'bound':>6}  verdict"]
     for spec in metrics:
         name = spec["name"]
         if name not in base_runs[0].metrics:
@@ -130,9 +141,11 @@ def evaluate(workload, base_runs, head_runs, metrics):
         q1, base_median, q3 = quartiles(base)
         head_median = quartiles(head)[1]
         base_column = f"{base_median:.4g} [{q1:.4g} - {q3:.4g}]"
+        r1, ratio_median, r3 = pair_ratios(base, head)
+        ratio_column = f"{ratio_median:.3f} [{r1:.3f} - {r3:.3f}]"
         lines.append(f"  {name:<18} {base_column:>32} {head_median:>12.4g} "
-                     f"{head_median / base_median:>7.3f} {f'{wins}/{pairs}':>6} "
-                     f"{spec['bound']:>6.0%}  {result}")
+                     f"{head_median / base_median:>7.3f} {ratio_column:>26} "
+                     f"{f'{wins}/{pairs}':>6} {spec['bound']:>6.0%}  {result}")
         if result == "worse":
             failures.append(f"{workload} {name} worse")
     return lines, failures

@@ -7,7 +7,7 @@
 import json
 import unittest
 
-from perf_ab import evaluate, parse_run, verdict
+from perf_ab import evaluate, pair_ratios, parse_run, quartiles, verdict
 
 METRICS = [
     {"name": "ns_per_hart_cycle", "better": "lower", "bound": 0.25},
@@ -72,6 +72,21 @@ class Verdicts(unittest.TestCase):
         base = runs([100.0] * 10, TIGHT)
         head = runs([100.0] * 10, [v * 0.7 for v in TIGHT])
         self.assertEqual(evaluate("w", base, head, METRICS)[1], ["w points_per_s worse"])
+
+
+class PairRatios(unittest.TestCase):
+    def test_steady_drift_gives_tight_pair_ratios_under_a_wide_base_iqr(self):
+        # The host slows down over the set; head runs 5% faster in every pair.
+        base = [20.0 + 0.3 * i for i in range(10)]
+        head = [b * 0.95 for b in base]
+        q1, _, q3 = quartiles(base)
+        self.assertGreater((q3 - q1) / 20.0, 0.05)
+        r1, median, r3 = pair_ratios(base, head)
+        self.assertAlmostEqual(median, 0.95)
+        self.assertAlmostEqual(r3 - r1, 0.0)
+        lines, failures = evaluate("w", runs(base), runs(head), METRICS)
+        self.assertEqual(failures, [])
+        self.assertIn("0.950 [0.950 - 0.950]", lines[2])
 
 
 class Runs(unittest.TestCase):
